@@ -1,27 +1,14 @@
-"""Benchmark: supervision + checksum cost on the clean path, and the
-measured price of recovering a SIGKILL'd shard.
+"""Benchmark: checksum cost on the clean path, and the measured price
+of recovering a SIGKILL'd shard.
 
 Two claims from the resilience layer are pinned here, both on the
 paper's full-scale stencil point (1024 PEs, 4 shards):
 
-* **The clean path is free** — heartbeats piggyback on the barrier
-  messages the engines already exchange, and result verification is
-  one sha256 per job, so a fault-free supervised run with a verifying
-  :class:`ResultStore` costs < 3% extra.  What "extra" means depends
-  on the host, exactly as in the parallel-engine benchmark: the
-  supervised topology adds a pure-coordinator process (legacy runs
-  shard 0 inside the coordinator), so on a box with a core to spare
-  the coordinator's routing overlaps shard compute and *wall-clock*
-  carries the claim; a single-core CI container time-shares that
-  extra hop and wall physically reflects shard 0's pipe
-  serialization instead.  The always-on assertions are therefore the
-  core-count-independent costs — per-worker CPU (the piggybacked
-  heartbeat, measured on the forked shards 1..N-1, which do
-  bit-identical work in both modes) and the checksum's share of the
-  clean path — while the end-to-end wall bar is asserted when the
-  host has cores for all shards plus the coordinator.  Wall numbers
-  are reported and recorded unconditionally so the trajectory shows
-  the single-core premium too.
+* **Result verification is free on the clean path** — it is one
+  sha256 per job, so the verified :class:`ResultStore` round trip
+  stays < 3% of a fault-free sharded run plus its store round trip.
+  (Heartbeats need no separate claim: they are the barrier messages
+  the engine exchanges anyway.)
 * **Recovery works at scale and its cost is bounded** — SIGKILL-ing
   one shard worker mid-run (both engines) restarts + replays that
   shard and finishes with output identical to the serial baseline;
@@ -50,7 +37,7 @@ from repro.serve.store import ResultStore
 PES = 1024
 ITERATIONS = 2
 SHARDS = 4
-ROUNDS = 4  # best-of, interleaved; even so both arms lead equally often
+ROUNDS = 4  # best-of
 OVERHEAD_BAR = 3.0  # percent
 
 
@@ -83,100 +70,51 @@ def _append_entry(payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Clean-path overhead: supervision on + verified store vs both off
+# Clean path: the verified store round trip's share of the job
 # ---------------------------------------------------------------------------
 
 
-def _clean_path(tmp_path, resilient: bool, tag: str) -> dict:
-    """One full clean path: supervised (or not) sharded run, result
-    payload stored and read back through a (verifying or not) store."""
-    env_before = os.environ.get("REPRO_SUPERVISE")
-    os.environ["REPRO_SUPERVISE"] = "1" if resilient else "0"
-    try:
-        t0 = time.perf_counter()
-        r = _run()
-        payload = json.dumps(
-            {"iter_times": r.iter_times, "events": r.events}).encode()
-        digest = hashlib.sha256(payload).hexdigest()
-        s0 = time.perf_counter()
-        store = ResultStore(tmp_path / tag, verify=resilient)
-        store.put(digest, payload)
-        assert store.get(digest) == payload
-        t1 = time.perf_counter()
-    finally:
-        if env_before is None:
-            os.environ.pop("REPRO_SUPERVISE", None)
-        else:
-            os.environ["REPRO_SUPERVISE"] = env_before
-    if resilient:
-        assert r.runtime.supervision is not None
-        assert r.runtime.supervision["restarts"] == 0
-    else:
-        assert r.runtime.supervision is None
-    return {
-        "wall_s": t1 - t0,
-        "store_s": t1 - s0,
-        # shards 1..N-1 are forked children doing bit-identical work
-        # in both modes (legacy folds coordinator routing into its
-        # shard-0 entry, so that slot is not comparable)
-        "worker_cpus": list(r.runtime.shard_cpu_times[1:]),
-    }
+def _clean_path(tmp_path, tag: str) -> dict:
+    """One full clean path: sharded run, result payload stored and
+    read back through a verifying store."""
+    t0 = time.perf_counter()
+    r = _run()
+    payload = json.dumps(
+        {"iter_times": r.iter_times, "events": r.events}).encode()
+    digest = hashlib.sha256(payload).hexdigest()
+    s0 = time.perf_counter()
+    store = ResultStore(tmp_path / tag, verify=True)
+    store.put(digest, payload)
+    assert store.get(digest) == payload
+    t1 = time.perf_counter()
+    assert r.runtime.supervision["restarts"] == 0
+    return {"wall_s": t1 - t0, "store_s": t1 - s0}
 
 
 def _best(rows: list, key: str) -> float:
     return min(row[key] for row in rows)
 
 
-def _best_worker_cpu(rows: list) -> float:
-    """Sum of each worker's best CPU time across rounds: a time-shared
-    host inflates ``process_time`` with cache-refill noise after
-    context switches, and per-shard minima shed it independently."""
-    per_shard = zip(*(row["worker_cpus"] for row in rows))
-    return sum(min(times) for times in per_shard)
-
-
 def test_clean_path_overhead_under_three_percent(tmp_path):
-    off_rows, on_rows = [], []
+    rows = []
     for i in range(ROUNDS):
-        # Interleaved AND order-alternated: the parent heap grows over
-        # the session (forked children pay for it in COW faults), so a
-        # fixed arm order would bias whichever arm always ran second.
-        arms = [(False, off_rows), (True, on_rows)]
-        for resilient, rows in arms if i % 2 == 0 else reversed(arms):
-            gc.collect()
-            rows.append(_clean_path(tmp_path, resilient,
-                                    f"{'on' if resilient else 'off'}{i}"))
+        gc.collect()
+        rows.append(_clean_path(tmp_path, f"run{i}"))
 
-    wall_off, wall_on = _best(off_rows, "wall_s"), _best(on_rows, "wall_s")
-    cpu_off = _best_worker_cpu(off_rows)
-    cpu_on = _best_worker_cpu(on_rows)
-    wall_pct = (wall_on - wall_off) / wall_off * 100.0
-    cpu_pct = (cpu_on - cpu_off) / cpu_off * 100.0
-    # the checksum's share of the clean path: verified store round
-    # trip as a fraction of the whole job
-    store_pct = _best(on_rows, "store_s") / wall_off * 100.0
+    wall = _best(rows, "wall_s")
+    store_pct = _best(rows, "store_s") / wall * 100.0
     cores = len(os.sched_getaffinity(0))
 
     report = "\n".join([
-        f"Resilience clean-path overhead: stencil ckd {PES} PEs, "
-        f"{SHARDS} shards (best of {ROUNDS}, host cores: {cores})",
+        f"Resilience clean path: stencil ckd {PES} PEs, {SHARDS} shards, "
+        f"verified store (best of {ROUNDS}, host cores: {cores})",
         "=" * 66,
-        f"{'':>28}  {'wall s':>8}  {'worker cpu s':>12}",
-        f"{'supervision off, unverified':>28}  {wall_off:>8.3f}  "
-        f"{cpu_off:>12.3f}",
-        f"{'supervision on, verified':>28}  {wall_on:>8.3f}  "
-        f"{cpu_on:>12.3f}",
-        f"{'overhead':>28}  {wall_pct:>+7.2f}%  {cpu_pct:>+11.2f}%",
+        f"wall: {wall:.3f} s",
         f"checksum store round-trip: {store_pct:.4f}% of the clean path",
     ])
     save_report("resilience_overhead", report)
     stage = {
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(wall_on, 3),
-        "wall_overhead_pct": round(wall_pct, 2),
-        "worker_cpu_off_s": round(cpu_off, 3),
-        "worker_cpu_on_s": round(cpu_on, 3),
-        "worker_cpu_overhead_pct": round(cpu_pct, 2),
+        "wall_s": round(wall, 3),
         "store_share_pct": round(store_pct, 4),
         "cpu_count": cores,
     }
@@ -188,23 +126,9 @@ def test_clean_path_overhead_under_three_percent(tmp_path):
         "clean_path": stage,
     })
 
-    # Core-count-independent costs: the piggybacked heartbeat on the
-    # workers, and the checksum's share of the job.
-    assert cpu_pct < OVERHEAD_BAR, (
-        f"per-worker supervision overhead regressed: {cpu_pct:+.2f}% "
-        f"({cpu_off:.3f}s -> {cpu_on:.3f}s)"
-    )
     assert store_pct < OVERHEAD_BAR, (
         f"checksum store round-trip is {store_pct:.2f}% of the clean path"
     )
-    # End-to-end wall needs a core for every shard plus the
-    # coordinator; below that the extra process time-shares and wall
-    # measures shard 0's pipe serialization, not the heartbeat.
-    if cores >= SHARDS + 1:
-        assert wall_pct < OVERHEAD_BAR, (
-            f"supervised clean path regressed: {wall_pct:+.2f}% "
-            f"({wall_off:.3f}s -> {wall_on:.3f}s) on a {cores}-core host"
-        )
 
 
 # ---------------------------------------------------------------------------

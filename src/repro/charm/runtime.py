@@ -194,7 +194,7 @@ class Runtime:
         #: supervision report of the last sharded run (restarts,
         #: crash/hang counts, degraded flag — see
         #: :meth:`repro.resilience.ShardSupervisor.report`), or None
-        #: when the run was serial or supervision was off.
+        #: when the run did not fork shards.
         self.supervision: Optional[Dict[str, Any]] = None
         #: coordinator-side transport counters of the last sharded run
         #: (transport name, frames, bytes, spills), or None when the

@@ -28,7 +28,6 @@ from .supervisor import (
     ShardSupervisor,
     resolve_max_restarts,
     resolve_shard_deadline,
-    resolve_supervise,
     supervise_conservative,
     supervise_timewarp,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "read_sidecar",
     "resolve_max_restarts",
     "resolve_shard_deadline",
-    "resolve_supervise",
     "sidecar_path",
     "supervise_conservative",
     "supervise_timewarp",

@@ -1,12 +1,13 @@
 """Shard supervision: crash/hang detection and deterministic restart.
 
-With supervision on (the default; ``REPRO_SUPERVISE=0`` turns it off)
-a ``--shards N`` run forks **all** N shard workers and keeps the
-parent as a *pristine pure coordinator*: it never enters a shard,
-never runs an event, and never mutates simulation state until every
-worker has shipped its final reconciliation payload.  That purity is
-the whole design — it gives the supervisor two recovery levers that
-the legacy (coordinator-runs-shard-0) topology cannot have:
+Every ``--shards N`` run that forks (either engine; the serial
+fallbacks are listed on :func:`repro.sim.parallel._fork_plan`) starts
+**all** N shard workers and keeps the parent as a *pristine pure
+coordinator*: it never enters a shard, never runs an event, and never
+mutates simulation state until every worker has shipped its final
+reconciliation payload.  That purity is the whole design — it gives
+the supervisor two recovery levers that a coordinator running a shard
+of its own could not have:
 
 1. **Deterministic restart.**  Both engines' window protocols are pure
    functions of the coordinator→worker message stream (epoch windows
@@ -31,9 +32,7 @@ the legacy (coordinator-runs-shard-0) topology cannot have:
 
 Heartbeats are piggybacked on the existing barrier messages — a
 worker that reaches its barrier *is* the heartbeat — so the clean
-path adds no extra traffic and its overhead is bounded by the
-fork-all-shards topology (measured < 3% in
-``benchmarks/test_resilience.py``).
+path adds no extra traffic.
 """
 
 from __future__ import annotations
@@ -53,30 +52,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _INF = float("inf")
 
-_TRUE = frozenset(("1", "on", "true", "yes"))
-_FALSE = frozenset(("0", "off", "false", "no"))
-
 
 # ---------------------------------------------------------------------------
-# Knob resolution (env only — supervision has no per-run CLI flag; it
-# is on unless REPRO_SUPERVISE turns it off)
+# Knob resolution (env only — the supervisor has no per-run CLI flag)
 # ---------------------------------------------------------------------------
-
-
-def resolve_supervise() -> bool:
-    """Whether sharded runs are supervised (default on)."""
-    raw = os.environ.get("REPRO_SUPERVISE")
-    if raw is None:
-        return True
-    v = raw.strip().lower()
-    if v in _TRUE:
-        return True
-    if v in _FALSE:
-        return False
-    raise ParallelEngineError(
-        f"REPRO_SUPERVISE must be one of {sorted(_TRUE | _FALSE)}, "
-        f"got {raw!r}"
-    )
 
 
 def resolve_max_restarts() -> int:
@@ -170,8 +149,15 @@ class ShardSupervisor:
         #: channel stats of reaped incarnations (each channel is reaped
         #: exactly once, so summing these never double-counts).
         self._retired_stats: List[dict] = []
-        for s in range(self.n):
-            self._spawn(s)
+        try:
+            for s in range(self.n):
+                self._spawn(s)
+        except BaseException:
+            # A failed fork (EAGAIN) or channel (full /dev/shm) for
+            # shard k must not strand shards 0..k-1 and their segments:
+            # the caller never receives this half-built supervisor.
+            self.close(graceful_timeout=0.1)
+            raise
 
     # -- process lifecycle ---------------------------------------------
 
@@ -188,15 +174,22 @@ class ShardSupervisor:
             target=self.worker,
             args=(self.rt, shard, self.blocks[shard], child)
             + self.worker_extra,
-            kwargs={
-                "incarnation": self.incarnations[shard],
-                "supervised": True,
-            },
+            kwargs={"incarnation": self.incarnations[shard]},
             daemon=True,
             name=f"shard{shard}.{self.incarnations[shard]}",
         )
-        p.start()
-        child.close()
+        try:
+            p.start()
+        except BaseException:
+            # A failed fork: no worker will ever hold the other end.
+            parent.close()
+            parent.unlink()
+            raise
+        finally:
+            # Closed before the next pair exists, so no later worker
+            # inherits this child end — otherwise the EOF that reports
+            # this shard's crash would wait for that sibling to exit.
+            child.close()
         self.conns[shard] = parent
         self.procs[shard] = p
 

@@ -15,6 +15,8 @@ from typing import List, Optional
 
 from ..network.params import MACHINES
 from ..sweep.points import POINTS
+from ..sweep.runner import resolve_timeout
+from ..sweep.spec import SweepError
 
 DEFAULT_PORT = 8642
 DEFAULT_STORE = ".repro-store"
@@ -61,6 +63,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     if args.jobs_per_run is not None and args.jobs_per_run < 1:
         print(f"error: --jobs-per-run must be at least 1, got {args.jobs_per_run}",
               file=sys.stderr)
+        return 2
+    try:
+        resolve_timeout(args.point_timeout)
+    except SweepError as exc:
+        print(f"error: --point-timeout: {exc}", file=sys.stderr)
         return 2
 
     from .app import ServeApp, serve_forever

@@ -15,10 +15,12 @@ Shards advance in lock-step **epoch windows**:
 
 1. At a barrier every shard reports its next local event time and the
    cross-shard transfer records it buffered during the last window.
-2. The coordinator (shard 0) computes ``M``, the global minimum over
-   those times and the head-arrival times of the exchanged records,
-   and broadcasts the window bound ``W = M + delta`` where ``delta``
-   is the fabric's minimum cross-shard end-to-end latency
+2. The coordinator — the parent process, which forks every shard but
+   never runs an event (see :mod:`repro.resilience.supervisor`) —
+   computes ``M``, the global minimum over those times and the
+   head-arrival times of the exchanged records, and broadcasts the
+   window bound ``W = M + delta`` where ``delta`` is the fabric's
+   minimum cross-shard end-to-end latency
    (:meth:`~repro.network.base.Fabric.min_remote_latency`).
 3. Every shard admits the records routed to it and runs all events
    strictly below ``W``.
@@ -52,7 +54,6 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..network.topology import shard_nodes
 from ..util.buffers import Buffer
-from .shm import channel_pair, merge_channel_stats
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..charm.runtime import Runtime
@@ -264,12 +265,9 @@ def _owned_ranks(rt: "Runtime", block: range) -> range:
     return range(block.start * cpn, min(block.stop * cpn, rt.n_pes))
 
 
-def _enter_shard(
-    rt: "Runtime", shard_id: int, block: range,
-    clear_stats: Optional[bool] = None,
-) -> dict:
-    """Specialize this process to one shard; returns the baselines the
-    final reconciliation payload is measured against."""
+def _enter_shard(rt: "Runtime", shard_id: int, block: range) -> dict:
+    """Specialize this (forked) process to one shard; returns the
+    baselines the final reconciliation payload is measured against."""
     rt.shard_id = shard_id
     rt.fabric._owned_nodes = frozenset(block)
     rt._flush_host_sends(owned_ranks=set(_owned_ranks(rt, block)))
@@ -279,15 +277,10 @@ def _enter_shard(
         "cpu": time.process_time(),
         "log_len": len(rt.tracer.events) if rt.tracer is not None else 0,
     }
-    if clear_stats is None:
-        clear_stats = shard_id != 0
-    if clear_stats:
-        # Children report their whole post-fork stats/samples; anything
-        # inherited from before the fork belongs to the parent's copy.
-        # Under supervision *every* shard (including 0) is a child of a
-        # pristine coordinator, so every shard clears.
-        rt.trace.stats.clear()
-        rt.trace.samples.clear()
+    # Shards report their whole post-fork stats/samples; anything
+    # inherited from before the fork belongs to the parent's copy.
+    rt.trace.stats.clear()
+    rt.trace.samples.clear()
     return base
 
 
@@ -320,9 +313,9 @@ def _is_plain_data(value: Any, depth: int = 0) -> bool:
 def _host_payload(rt: "Runtime") -> list:
     """Plain-data attributes of the registered host-state objects.
 
-    Under supervision shard 0 runs in a child, so host callbacks
-    (iteration monitors and the like) mutate the *child's* copies; the
-    data attributes ship home in the final payload while
+    Host callbacks (iteration monitors and the like) fire on shard 0,
+    a forked child, so they mutate the *child's* copies; the data
+    attributes ship home in shard 0's final payload while
     object-reference attributes (runtime wiring such as ``rt`` or the
     array proxy) keep the parent's originals."""
     return [
@@ -331,9 +324,7 @@ def _host_payload(rt: "Runtime") -> list:
     ]
 
 
-def _final_payload(
-    rt: "Runtime", block: range, base: dict, include_host: bool = False,
-) -> dict:
+def _final_payload(rt: "Runtime", block: range, base: dict) -> dict:
     """What a worker shard ships home after its last window."""
     counters = {
         name: val - base["counters"].get(name, 0)
@@ -370,7 +361,7 @@ def _final_payload(
         "trace_events": events,
         "cpu": time.process_time() - base["cpu"],
     }
-    if include_host:
+    if rt.shard_id == 0:
         payload["host"] = _host_payload(rt)
     return payload
 
@@ -432,8 +423,7 @@ def _route_window(
 ) -> Tuple[float, List[List[tuple]]]:
     """The conservative coordinator's deterministic round computation:
     the global floor ``M`` and the per-shard inboxes for one barrier's
-    states.  Shared by the legacy (in-process shard 0) and supervised
-    (all-children) coordinator loops so the two can never drift."""
+    states."""
     inboxes: List[List[tuple]] = [[] for _ in range(n)]
     floor = min(nexts)
     for out in outboxes:
@@ -455,13 +445,11 @@ def _proc_injector(rt: "Runtime", shard_id: int, incarnation: int):
 
 
 def _shard_worker(
-    rt: "Runtime", shard_id: int, block: range, conn,
-    incarnation: int = 0, supervised: bool = False,
+    rt: "Runtime", shard_id: int, block: range, conn, incarnation: int = 0,
 ) -> None:
     """Worker-shard entry point (runs in a forked child)."""
     try:
-        base = _enter_shard(rt, shard_id, block,
-                            clear_stats=supervised or shard_id != 0)
+        base = _enter_shard(rt, shard_id, block)
         pf = _proc_injector(rt, shard_id, incarnation)
         sim, fab = rt.sim, rt.fabric
         round_no = 0
@@ -478,8 +466,7 @@ def _shard_worker(
             for rec in inbox:
                 fab.admit_remote(rec)
             sim.run_before(bound)
-        conn.send(("final", _final_payload(
-            rt, block, base, include_host=supervised and shard_id == 0)))
+        conn.send(("final", _final_payload(rt, block, base)))
         conn.close()
     except BaseException:
         try:
@@ -491,24 +478,10 @@ def _shard_worker(
     os._exit(0)
 
 
-def _recv(conn, shard_id: int):
-    try:
-        msg = conn.recv()
-    except EOFError:
-        raise ParallelEngineError(
-            f"shard {shard_id} died without reporting"
-        )
-    if msg[0] == "error":
-        raise ParallelEngineError(
-            f"shard {msg[1]} failed:\n{msg[2]}"
-        )
-    return msg
-
-
 def _run_serial_inline(rt: "Runtime") -> float:
     """One in-process shard: identical engine semantics, no fork.
 
-    Also the supervised runs' degradation target — the coordinator's
+    Also the supervisor's degradation target — the coordinator's
     runtime is untouched (host sends still buffered, no events run),
     so falling back here reproduces the serial run exactly.
     """
@@ -586,90 +559,29 @@ def _reap_shard(conn, proc, graceful_timeout: float = 30.0) -> Optional[int]:
     return code
 
 
-def run_sharded(rt: "Runtime") -> float:
-    """Run ``rt`` to completion under the sharded engine.
-
-    Serial fallbacks are listed on :func:`_fork_plan`.  With
-    supervision on (the default; ``REPRO_SUPERVISE=0`` disables) the
-    run goes through :func:`repro.resilience.supervisor.
-    supervise_conservative`, which forks *all* shards and restarts
-    crashed or hung workers deterministically.
-    """
-    sim, fab = rt.sim, rt.fabric
-    topo = fab.topology
-    n, ctx = _fork_plan(rt)
-    if n == 1:
-        return _run_serial_inline(rt)
-
-    blocks = shard_nodes(topo, n)
-    delta = fab.min_remote_latency()
+def _lookahead(rt: "Runtime") -> float:
+    """The fabric's window width ``delta``; must be positive."""
+    delta = rt.fabric.min_remote_latency()
     if not delta > 0.0:
         raise ParallelEngineError(
             f"fabric lookahead must be positive, got {delta!r}"
         )
+    return delta
 
-    from ..resilience.supervisor import resolve_supervise, supervise_conservative
 
-    if resolve_supervise():
-        return supervise_conservative(rt, ctx, blocks, delta)
+def run_sharded(rt: "Runtime") -> float:
+    """Run ``rt`` to completion under the sharded engine.
 
-    conns: List[Any] = []
-    procs = []
-    for s in range(1, n):
-        # Pair construction is interleaved with the forks: each child
-        # end is closed before the next pair exists, so no worker
-        # inherits a sibling's lifeline child end — otherwise the
-        # coordinator's EOF signal for a crashed shard would not fire
-        # until every later-started sibling also exited.
-        parent_end, child_end = channel_pair(ctx, rt.transport, f"s{s}")
-        p = ctx.Process(
-            target=_shard_worker,
-            args=(rt, s, blocks[s], child_end),
-            daemon=True, name=f"shard{s}",
-        )
-        p.start()
-        child_end.close()
-        conns.append(parent_end)
-        procs.append(p)
+    Serial fallbacks are listed on :func:`_fork_plan`.  Otherwise the
+    run goes through :func:`repro.resilience.supervisor.
+    supervise_conservative`, which forks every shard and restarts
+    crashed or hung workers deterministically.
+    """
+    n, ctx = _fork_plan(rt)
+    if n == 1:
+        return _run_serial_inline(rt)
+    from ..resilience.supervisor import supervise_conservative
 
-    try:
-        base = _enter_shard(rt, 0, blocks[0])
-        shard_of_rank = _make_shard_of_rank(topo, blocks)
-
-        rounds = 0
-        while True:
-            rounds += 1
-            nexts = [sim.next_event_time()]
-            outboxes = [[encode_record(r) for r in fab.take_outbox()]]
-            for s, conn in enumerate(conns, start=1):
-                msg = _recv(conn, s)
-                nexts.append(msg[1])
-                outboxes.append(msg[2])
-            floor, inboxes = _route_window(nexts, outboxes, n, shard_of_rank)
-            if floor == float("inf"):
-                for conn in conns:
-                    conn.send(("done",))
-                break
-            bound = floor + delta
-            for s, conn in enumerate(conns, start=1):
-                conn.send(("window", bound, inboxes[s]))
-            for rec in inboxes[0]:
-                fab.admit_remote(rec)
-            sim.run_before(bound)
-
-        cpu = [time.process_time() - base["cpu"]]
-        for s, conn in enumerate(conns, start=1):
-            msg = _recv(conn, s)
-            if msg[0] != "final":
-                raise ParallelEngineError(
-                    f"shard {s} sent {msg[0]!r} instead of its final report"
-                )
-            _merge_final(rt, msg[1])
-            cpu.append(msg[1]["cpu"])
-        rt.shard_cpu_times = cpu
-        rt.parallel_rounds = rounds
-        rt.transport_stats = merge_channel_stats(rt.transport, conns)
-    finally:
-        for conn, p in zip(conns, procs):
-            _reap_shard(conn, p)
-    return sim.now
+    return supervise_conservative(
+        rt, ctx, shard_nodes(rt.fabric.topology, n), _lookahead(rt)
+    )

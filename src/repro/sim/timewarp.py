@@ -16,10 +16,12 @@ Protocol (lock-step rounds on the same fork/pipe transport):
    any anti-messages from flushed rollback epochs, its next local
    event time, and its *floor* (the minimum target arrival time over
    pending anti-message candidates).
-2. The coordinator (shard 0, in-process) computes the **GVT** — the
-   minimum over all next-event times, all routed record arrival times,
-   all anti-message targets, and all floors — and routes records and
-   antis to their destination shards.  ``GVT == inf`` terminates.
+2. The coordinator (the supervisor process, which runs no shard of
+   its own — see :mod:`repro.resilience.supervisor`) computes the
+   **GVT** — the minimum over all next-event times, all routed record
+   arrival times, all anti-message targets, and all floors — and
+   routes records and antis to their destination shards.
+   ``GVT == inf`` terminates.
 3. Each shard processes antis (dead-marking the targeted records),
    rolls back if any anti target or incoming record lies at or below
    its local clock (**straggler**), admits its inbox, fossil-collects
@@ -62,14 +64,13 @@ registered through ``Runtime.register_host_state`` *before* the run
 starts: checkpoints snapshot those objects alongside chare state, so a
 rollback undoes a speculative callback's mutations exactly.  (Host
 callbacks cannot cross shards — the wire codec rejects them — so they
-only ever fire on the coordinator shard.)
+only ever fire on shard 0.)
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
 import traceback
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
@@ -80,11 +81,8 @@ from .parallel import (
     _enter_shard,
     _final_payload,
     _fork_plan,
-    _make_shard_of_rank,
-    _merge_final,
+    _lookahead,
     _proc_injector,
-    _reap_shard,
-    _recv,
     _run_serial_inline,
     encode_record,
 )
@@ -591,9 +589,7 @@ class _TimeWarpShard:
 
 
 class _GvtPlanner:
-    """One GVT round of coordinator arithmetic, shared by the legacy
-    (coordinator-runs-shard-0) loop and the supervised coordinator so
-    the two cannot drift.
+    """One GVT round of coordinator arithmetic.
 
     Owns the adaptive-horizon state: H=1 is exactly the conservative
     window — provably straggler-free — so collapse to it whenever a
@@ -670,14 +666,10 @@ class _GvtPlanner:
 
 
 def _timewarp_worker(rt: "Runtime", shard_id: int, block: range, conn,
-                     cp_events: int, incarnation: int = 0,
-                     supervised: bool = False) -> None:
+                     cp_events: int, incarnation: int = 0) -> None:
     """Worker-shard entry point (runs in a forked child)."""
     try:
-        base = _enter_shard(
-            rt, shard_id, block,
-            clear_stats=supervised or shard_id != 0,
-        )
+        base = _enter_shard(rt, shard_id, block)
         tw = _TimeWarpShard(rt, shard_id, block, cp_events)
         pf = _proc_injector(rt, shard_id, incarnation)
         round_no = 0
@@ -692,10 +684,7 @@ def _timewarp_worker(rt: "Runtime", shard_id: int, block: range, conn,
             _, bound, gvt, inbox, antis, flush = msg
             tw.do_round(bound, gvt, inbox, antis, flush)
             tw.run_segment()
-        payload = _final_payload(
-            rt, block, base,
-            include_host=supervised and shard_id == 0,
-        )
+        payload = _final_payload(rt, block, base)
         payload["events_processed"] -= len(tw.orphaned)
         payload["timewarp"] = tw.stats
         conn.send(("final", payload))
@@ -718,97 +707,17 @@ def run_timewarp(rt: "Runtime") -> float:
     no ``fork``): one in-process shard, no speculation, no rollback —
     and the runtime-level fallback for fault/reliability profiles
     selects the legacy serial engine before either parallel mode is
-    reached.
+    reached.  Otherwise the run goes through :func:`repro.resilience.
+    supervisor.supervise_timewarp`.
     """
-    sim, fab = rt.sim, rt.fabric
-    topo = fab.topology
     n, ctx = _fork_plan(rt)
     if n == 1:
         now = _run_serial_inline(rt)
         rt.timewarp_stats = {k: 0 for k in STAT_KEYS}
         return now
+    from ..resilience.supervisor import supervise_timewarp
 
-    delta = fab.min_remote_latency()
-    if not delta > 0.0:
-        raise ParallelEngineError(
-            f"fabric lookahead must be positive, got {delta!r}"
-        )
-    horizon = _resolve_horizon()
-    cp_events = _resolve_cp_events()
-    blocks = shard_nodes(topo, n)
-
-    from ..resilience.supervisor import resolve_supervise, supervise_timewarp
-
-    if resolve_supervise():
-        return supervise_timewarp(rt, ctx, blocks, delta, horizon, cp_events)
-
-    from .shm import channel_pair, merge_channel_stats
-
-    conns = []
-    procs = []
-    for s in range(1, n):
-        # Interleave pair construction with the forks (close each
-        # child end before the next pair exists) so no worker inherits
-        # a sibling's lifeline child end — otherwise the coordinator's
-        # EOF signal for a crashed shard would not fire until every
-        # later-started sibling also exited.
-        parent_end, child_end = channel_pair(ctx, rt.transport, f"s{s}")
-        p = ctx.Process(
-            target=_timewarp_worker,
-            args=(rt, s, blocks[s], child_end, cp_events),
-            daemon=True, name=f"shard{s}",
-        )
-        p.start()
-        child_end.close()
-        conns.append(parent_end)
-        procs.append(p)
-
-    try:
-        base = _enter_shard(rt, 0, blocks[0])
-        tw = _TimeWarpShard(rt, 0, blocks[0], cp_events)
-        planner = _GvtPlanner(
-            n, _make_shard_of_rank(topo, blocks), delta, horizon
-        )
-
-        while True:
-            states = [tw.barrier_state()]
-            for s, conn in enumerate(conns, start=1):
-                msg = _recv(conn, s)
-                if msg[0] != "state":
-                    raise ParallelEngineError(
-                        f"shard {s} sent {msg[0]!r} instead of its state"
-                    )
-                states.append(msg)
-            gvt, bound, flush, inboxes, anti_boxes = planner.plan(states)
-            tw.stats["gvt_rounds"] += 1
-            if gvt == _INF:
-                for conn in conns:
-                    conn.send(("done",))
-                break
-            for s, conn in enumerate(conns, start=1):
-                conn.send(("window", bound, gvt, inboxes[s],
-                           anti_boxes[s], flush))
-            tw.do_round(bound, gvt, inboxes[0], anti_boxes[0], flush)
-            tw.run_segment()
-
-        cpu = [time.process_time() - base["cpu"]]
-        stats = dict(tw.stats)
-        for s, conn in enumerate(conns, start=1):
-            msg = _recv(conn, s)
-            if msg[0] != "final":
-                raise ParallelEngineError(
-                    f"shard {s} sent {msg[0]!r} instead of its final report"
-                )
-            _merge_final(rt, msg[1])
-            cpu.append(msg[1]["cpu"])
-            for k, v in msg[1]["timewarp"].items():
-                stats[k] += v
-        rt._extra_events -= len(tw.orphaned)
-        rt.shard_cpu_times = cpu
-        rt.timewarp_stats = stats
-        rt.parallel_rounds = stats["gvt_rounds"]
-        rt.transport_stats = merge_channel_stats(rt.transport, conns)
-    finally:
-        for conn, p in zip(conns, procs):
-            _reap_shard(conn, p)
-    return sim.now
+    return supervise_timewarp(
+        rt, ctx, shard_nodes(rt.fabric.topology, n), _lookahead(rt),
+        _resolve_horizon(), _resolve_cp_events(),
+    )

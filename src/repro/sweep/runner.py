@@ -29,6 +29,7 @@ and can be pinned with ``REPRO_MP_START``.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import time
@@ -85,16 +86,29 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return 1
 
 
-def _resolve_timeout(timeout: Optional[float]) -> float:
+def resolve_timeout(timeout: Optional[float] = None) -> float:
+    """Per-point timeout in seconds: explicit argument, else
+    ``REPRO_SWEEP_TIMEOUT``, else :data:`DEFAULT_TIMEOUT`.
+
+    Same precedence and error style as :func:`resolve_jobs`: anything
+    that is not a finite number > 0 raises :class:`SweepError`.
+    """
     if timeout is not None:
-        return float(timeout)
-    env = os.environ.get("REPRO_SWEEP_TIMEOUT", "").strip()
-    if env:
-        try:
-            return float(env)
-        except ValueError:
-            pass
-    return DEFAULT_TIMEOUT
+        name, raw = "timeout", timeout
+    else:
+        name, raw = "REPRO_SWEEP_TIMEOUT", os.environ.get(
+            "REPRO_SWEEP_TIMEOUT", "").strip()
+        if not raw:
+            return DEFAULT_TIMEOUT
+    try:
+        val = float(raw)
+    except (TypeError, ValueError):
+        raise SweepError(
+            f"{name} must be a number of seconds, got {raw!r}"
+        ) from None
+    if not (math.isfinite(val) and val > 0):
+        raise SweepError(f"{name} must be finite and > 0, got {raw!r}")
+    return val
 
 
 def _mp_context():
@@ -204,7 +218,7 @@ class SweepRunner:
             # scale the pool so jobs x shards stays within the
             # requested process budget.
             self.jobs = max(1, self.jobs // shards)
-        self.timeout = _resolve_timeout(timeout)
+        self.timeout = resolve_timeout(timeout)
         self.label = label
 
     def run(

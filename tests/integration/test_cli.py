@@ -177,6 +177,8 @@ def test_serve_flag_validation():
     assert serve_main(["--cache-mb", "0"]) == 2
     assert serve_main(["--jobs-per-run", "0"]) == 2
     assert serve_main(["--port", "-1"]) == 2
+    assert serve_main(["--point-timeout", "0"]) == 2
+    assert serve_main(["--point-timeout", "-5"]) == 2
 
 
 def test_submit_requires_kind_or_spec_json():

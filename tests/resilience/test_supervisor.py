@@ -1,27 +1,31 @@
 """Shard supervision: crash/hang recovery, degradation, knobs.
 
-The contract: with supervision on (the default), a shard worker that
-is SIGKILL'd or wedged mid-run is detected, restarted, and replayed
-deterministically — the run's output stays **bit-identical** to a
-clean serial run — and once the restart budget is spent the run
-degrades to the serial engine, still bit-identical.
+The contract: a shard worker that is SIGKILL'd or wedged mid-run is
+detected, restarted, and replayed deterministically — the run's
+output stays **bit-identical** to a clean serial run — and once the
+restart budget is spent the run degrades to the serial engine, still
+bit-identical.
 
 SURVEYOR at 16 PEs = 4 nodes (4 cores/node), so ``shards=4`` forks
 four real worker processes.
 """
 
+import errno
 import hashlib
+import multiprocessing as mp
+import os
 
 import pytest
 
 from repro.faults import ProcFaultPlan, ProcFaultRule
 from repro.network.params import SURVEYOR
-from repro.sim.parallel import ParallelEngineError
+from repro.resilience import supervisor
 from repro.resilience.supervisor import (
     resolve_max_restarts,
     resolve_shard_deadline,
-    resolve_supervise,
 )
+from repro.sim.parallel import ParallelEngineError
+from repro.sim.shm import active_segments
 
 CFG = dict(domain=(16, 16, 16), vr=2, iterations=3,
            validate=True, keep_runtime=True)
@@ -57,15 +61,6 @@ def test_supervised_clean_run_is_bit_identical(baseline):
     sup = r.runtime.supervision
     assert sup is not None and sup["supervised"]
     assert sup["restarts"] == 0 and not sup["degraded"]
-    assert _digest(r) == digest
-    assert r.events == events
-
-
-def test_supervise_off_uses_legacy_topology(baseline, monkeypatch):
-    monkeypatch.setenv("REPRO_SUPERVISE", "0")
-    digest, events = baseline
-    r = _run(shards=4)
-    assert r.runtime.supervision is None
     assert _digest(r) == digest
     assert r.events == events
 
@@ -178,21 +173,46 @@ def test_zero_budget_degrades_on_first_failure(baseline, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution
+# Spawn failure: shards already started are reaped, not stranded
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_supervise_values(monkeypatch):
-    assert resolve_supervise() is True  # default on
-    for v in ("1", "on", "true", "YES"):
-        monkeypatch.setenv("REPRO_SUPERVISE", v)
-        assert resolve_supervise() is True
-    for v in ("0", "off", "False", "no"):
-        monkeypatch.setenv("REPRO_SUPERVISE", v)
-        assert resolve_supervise() is False
-    monkeypatch.setenv("REPRO_SUPERVISE", "maybe")
-    with pytest.raises(ParallelEngineError, match="REPRO_SUPERVISE"):
-        resolve_supervise()
+def _third_call_fails(fn, err):
+    """``fn``, except that its third call raises ``OSError(err)``."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise OSError(err, os.strerror(err))
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.mark.parametrize("failure", ["channel", "fork"])
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_failed_spawn_reaps_started_shards(monkeypatch, transport, failure):
+    """A full /dev/shm (the third channel_pair) or a failed fork (the
+    third os.fork) while the supervisor starts four shards must leave
+    no shard process and no ring segment behind once the error
+    surfaces."""
+    if failure == "channel":
+        monkeypatch.setattr(supervisor, "channel_pair", _third_call_fails(
+            supervisor.channel_pair, errno.ENOSPC))
+    else:
+        monkeypatch.setattr(os, "fork", _third_call_fails(
+            os.fork, errno.EAGAIN))
+    procs, segs = set(mp.active_children()), set(active_segments())
+    with pytest.raises(OSError):
+        _run(shards=4, transport=transport)
+    assert [p.name for p in mp.active_children() if p not in procs] == []
+    assert sorted(set(active_segments()) - segs) == []
+
+
+# ---------------------------------------------------------------------------
+# Knob resolution
+# ---------------------------------------------------------------------------
 
 
 def test_resolve_max_restarts(monkeypatch):

@@ -9,7 +9,8 @@ Three layers of contract:
   raises :class:`TornFrameError` instead of delivering garbage;
 * **hygiene** — every ``/dev/shm`` segment the transport creates is
   unlinked by the time a run returns, including runs that restart a
-  SIGKILL'd shard or degrade to serial on an exhausted budget;
+  SIGKILL'd shard or degrade to serial on an exhausted budget (checked
+  after every test by the no-leak guard in ``tests/conftest.py``);
 * **parity** — results over shm are bit-identical to pipe and to a
   serial run, per app, per engine, at any shard count.
 
@@ -35,28 +36,9 @@ from repro.sim.shm import (
     channel_pair,
     resolve_ring_bytes,
     resolve_transport,
-    segment_prefix,
 )
 
 CTX = mp.get_context("fork")
-
-
-def _leaked_segments():
-    """Names under /dev/shm carrying this module's prefix."""
-    import glob
-    import os.path
-
-    return [os.path.basename(p)
-            for p in glob.glob("/dev/shm/" + segment_prefix() + "*")]
-
-
-@pytest.fixture(autouse=True)
-def _no_leaks():
-    """Every test must leave /dev/shm exactly as it found it."""
-    before = set(_leaked_segments())
-    yield
-    leaked = set(_leaked_segments()) - before
-    assert not leaked, f"leaked shm segments: {sorted(leaked)}"
 
 
 def _shm_pair(tag):
