@@ -7,18 +7,21 @@ it (visible with ``pytest -s``), saves it under
 Suite-wide options:
 
 ``--jobs N``
-    Fan each artifact's sweep points over N worker processes
-    (exported as ``REPRO_JOBS``, which the runners resolve).  Reports
-    and assertions are byte-identical at any N — the determinism
-    regression test pins this — so it is purely a wall-clock knob.
+    Fan each artifact's sweep points over N worker processes.
+    Reports and assertions are byte-identical at any N — the
+    determinism regression test pins this — so it is purely a
+    wall-clock knob.
 
 ``--eventq IMPL``
     Back every simulator with the given event-queue implementation
-    (exported as ``REPRO_EVENTQ``; see :mod:`repro.sim.eventq`).
-    Results are byte-identical for every choice — like ``--jobs`` it
-    is purely a wall-clock knob — and the chosen implementation is
-    recorded in the trajectory entry so per-queue timings can be
-    compared across sessions.
+    (see :mod:`repro.sim.eventq`).  Results are byte-identical for
+    every choice — like ``--jobs`` it is purely a wall-clock knob.
+
+Both flags beat their ``REPRO_*`` variables: the session resolves one
+:class:`~repro.config.RunConfig` from them plus the environment,
+installs it for every benchmark, and records it (with the concrete
+queue implementation) in the trajectory entry so timings can be
+compared across sessions.
 
 ``--bench-json [PATH]``
     Append this session's timing trajectory to ``PATH`` (default
@@ -33,7 +36,6 @@ Suite-wide options:
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import time
 from collections import defaultdict
@@ -49,6 +51,9 @@ _session_t0 = 0.0
 
 #: stage name -> payload recorded by individual benchmarks this session.
 _stages = {}
+
+#: the session's run configuration (flags + environment).
+_run_config = None
 
 
 def save_report(name: str, text: str) -> None:
@@ -73,13 +78,13 @@ def pytest_addoption(parser):
     group = parser.getgroup("repro sweeps")
     group.addoption(
         "--jobs", type=int, default=None, metavar="N",
-        help="run sweep points over N worker processes (sets REPRO_JOBS; "
-             "results are identical at any N)",
+        help="run sweep points over N worker processes (default: "
+             "$REPRO_JOBS; results are identical at any N)",
     )
     group.addoption(
         "--eventq", default=None, metavar="IMPL",
         help="event-queue implementation backing every simulator "
-             "(sets REPRO_EVENTQ; results are identical for every "
+             "(default: $REPRO_EVENTQ; results are identical for every "
              "choice)",
     )
     group.addoption(
@@ -91,21 +96,25 @@ def pytest_addoption(parser):
 
 
 def pytest_configure(config):
-    global _session_t0
+    global _session_t0, _run_config
     _session_t0 = time.perf_counter()
-    jobs = config.getoption("--jobs")
-    if jobs is not None:
-        if jobs < 1:
-            raise pytest.UsageError(f"--jobs must be at least 1, got {jobs}")
-        os.environ["REPRO_JOBS"] = str(jobs)
-    eventq = config.getoption("--eventq")
-    if eventq is not None:
-        from repro.sim.eventq import resolve_eventq
+    from repro.config import ConfigError, RunConfig
 
-        try:
-            os.environ["REPRO_EVENTQ"] = resolve_eventq(eventq)
-        except Exception as exc:
-            raise pytest.UsageError(str(exc))
+    try:
+        _run_config = RunConfig.from_env(
+            jobs=config.getoption("--jobs"),
+            eventq=config.getoption("--eventq"),
+        )
+    except ConfigError as exc:
+        raise pytest.UsageError(str(exc))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _installed_run_config():
+    from repro.config import install
+
+    with install(_run_config):
+        yield _run_config
 
 
 def pytest_runtest_logreport(report):
@@ -128,17 +137,19 @@ def pytest_sessionfinish(session, exitstatus):
     path = session.config.getoption("--bench-json")
     if not path:
         return
+    from dataclasses import asdict
+
     from repro.sim.eventq import eventq_name, make_simulator
-    from repro.sweep import resolve_jobs, stats
+    from repro.sweep import stats
 
     path = pathlib.Path(path)
     entries = _load_entries(path)
     sweeps = stats.drain()
     entry = {
-        "jobs": resolve_jobs(session.config.getoption("--jobs")),
-        # the implementation every simulator in this session resolved
-        # to (flag > REPRO_EVENTQ > auto)
-        "eventq": eventq_name(make_simulator()),
+        "jobs": _run_config.jobs,
+        # the implementation every simulator in this session ran on
+        "eventq": eventq_name(make_simulator(_run_config.eventq)),
+        "config": asdict(_run_config),
         "exit_status": int(exitstatus),
         "total_wall_s": round(time.perf_counter() - _session_t0, 3),
         "modules": {k: round(v, 3) for k, v in sorted(_module_wall.items())},

@@ -15,9 +15,9 @@ from typing import List, Optional, Tuple, Type
 import numpy as np
 
 from ...charm import Runtime
+from ...config import current
 from ...faults import FaultPlan
 from ...network.params import MachineParams
-from ...sim.parallel import resolve_shards
 from ..stencil.base import IterationMonitor
 from .base import MatMulBase
 from .decomp3d import MatMulSpec, choose_side, global_a, global_b
@@ -71,8 +71,8 @@ def run_matmul(
     ``faults`` names a built-in fault profile: the run then executes on
     an imperfect fabric with the CkDirect reliability layer armed.
 
-    ``shards`` (or ``REPRO_SHARDS``) selects the sharded parallel
-    engine — bit-identical results, partitioned wall-clock work.
+    ``shards`` (default: the configured count) selects the sharded
+    parallel engine — bit-identical results, partitioned wall-clock work.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
@@ -81,8 +81,8 @@ def run_matmul(
     spec = MatMulSpec(N, side)
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
-                 shards=resolve_shards(shards), engine=engine,
-                 transport=transport)
+                 shards=current().shards if shards is None else shards,
+                 engine=engine, transport=transport)
     monitor = IterationMonitor(rt, None, iterations)
     arr = rt.create_array(
         cls,

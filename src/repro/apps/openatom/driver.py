@@ -15,9 +15,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ...charm import CkCallback, Runtime
+from ...config import current
 from ...faults import FaultPlan
 from ...network.params import MachineParams
-from ...sim.parallel import resolve_shards
 from .config import OpenAtomConfig
 from .gspace import GSpaceBase
 from .paircalc import Ortho
@@ -108,8 +108,8 @@ def run_openatom(
     ``faults`` names a built-in fault profile: the run then executes on
     an imperfect fabric with the CkDirect reliability layer armed.
 
-    ``shards`` (or ``REPRO_SHARDS``) selects the sharded parallel
-    engine — bit-identical results, partitioned wall-clock work.
+    ``shards`` (default: the configured count) selects the sharded
+    parallel engine — bit-identical results, partitioned wall-clock work.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
@@ -120,8 +120,8 @@ def run_openatom(
     gs_cls, pc_cls = MODES[mode]
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
-                 shards=resolve_shards(shards), engine=engine,
-                 transport=transport)
+                 shards=current().shards if shards is None else shards,
+                 engine=engine, transport=transport)
     monitor = OpenAtomMonitor(rt, cfg.iterations)
     gs = rt.create_array(
         gs_cls, dims=(cfg.nstates, cfg.nplanes), ctor_args=(cfg, monitor)

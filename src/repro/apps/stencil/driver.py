@@ -14,9 +14,9 @@ from typing import List, Optional, Tuple, Type
 import numpy as np
 
 from ...charm import Runtime
+from ...config import current
 from ...faults import FaultPlan, ProcFaultPlan
 from ...network.params import MachineParams
-from ...sim.parallel import resolve_shards
 from ...util.stats import percent_improvement
 from .base import IterationMonitor, JacobiBase
 from .decomp import choose_grid
@@ -75,11 +75,11 @@ def run_stencil(
     ``torn-sentinel``, ...): the run then executes on an imperfect
     fabric with the CkDirect reliability layer armed.
 
-    ``shards`` (or ``REPRO_SHARDS``) selects the sharded parallel
-    engine — bit-identical results, partitioned wall-clock work.
-    ``engine`` (or ``REPRO_ENGINE``) picks its synchronization mode:
-    ``conservative`` epoch windows (default) or ``optimistic`` Time
-    Warp speculation with rollback.
+    ``shards`` (default: the configured count) selects the sharded
+    parallel engine — bit-identical results, partitioned wall-clock work.
+    ``engine`` (default: the configured mode) picks its synchronization
+    mode: ``conservative`` epoch windows or ``optimistic`` Time Warp
+    speculation with rollback.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
@@ -88,8 +88,8 @@ def run_stencil(
     grid = choose_grid(domain, n_chares)
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
-                 shards=resolve_shards(shards), engine=engine,
-                 proc_faults=proc_faults, transport=transport)
+                 shards=current().shards if shards is None else shards,
+                 engine=engine, proc_faults=proc_faults, transport=transport)
     monitor_box: list = []
 
     # The monitor needs the proxy, the array ctor needs the monitor:

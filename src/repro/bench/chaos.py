@@ -40,6 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import current, install
 from ..faults.plan import PROFILES
 from ..network.params import MachineParams
 from ..sim.rng import substream
@@ -385,12 +386,9 @@ def run_proc_chaos(
     Unlike :func:`run_chaos` the points run inline, sequentially: a
     sweep worker is daemonic and may not fork shard children of its
     own, and these faults target *real* processes, not the simulated
-    fabric.  ``hang_deadline_s`` temporarily lowers
-    ``REPRO_SHARD_DEADLINE`` so the hang profile converges in seconds
-    (an explicit user setting wins).
+    fabric.  The rows run with the shard deadline lowered to
+    ``hang_deadline_s`` so the hang profile converges in seconds.
     """
-    import os
-
     from ..faults.plan import PROC_PROFILES
     from ..network.params import MACHINES
 
@@ -407,19 +405,13 @@ def run_proc_chaos(
         MACHINES[CHAOS_MACHINE], "stencil", CHAOS_PES, CLEAN, fault_seed,
     )
     rows: List[Dict[str, Any]] = []
-    had_deadline = os.environ.get("REPRO_SHARD_DEADLINE")
-    try:
-        if had_deadline is None:
-            os.environ["REPRO_SHARD_DEADLINE"] = str(hang_deadline_s)
+    with install(current().replace(shard_deadline=hang_deadline_s)):
         for prof in profiles:
             if prof == "corrupt-object":
                 rows.append(_corrupt_object_row(fault_seed))
                 continue
             for engine in _PROC_ENGINES:
                 rows.append(_proc_worker_row(prof, engine, shards, clean))
-    finally:
-        if had_deadline is None:
-            os.environ.pop("REPRO_SHARD_DEADLINE", None)
 
     ok = all(r["recovered"] and r["bit_identical"] for r in rows)
     return {"ok": ok, "rows": rows,

@@ -6,11 +6,11 @@ printed values where they exist), and returns the structured results
 the benchmark suite asserts shapes on.
 
 PE counts default to a laptop-friendly subset of the paper's sweeps;
-set ``REPRO_FULL_SCALE=1`` to run the full ranges (the BG/P 4096-PE
-points take a few minutes each in pure Python).
+the ``full_scale`` knob (``--full-scale``) runs the full ranges (the
+BG/P 4096-PE points take a few minutes each in pure Python).
 
-Every table/figure runner takes ``jobs=`` (default: the ``REPRO_JOBS``
-environment variable, else serial) and fans its independent simulation
+Every table/figure runner takes ``jobs=`` (default: the configured
+``jobs``, else serial) and fans its independent simulation
 points out over a :class:`~repro.sweep.SweepRunner` worker pool.  All
 derived values (milli-second conversions, percent improvements) are
 computed here in the parent from the raw per-point means, so the
@@ -21,11 +21,11 @@ modes) whose interplay is the point of the measurement.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..apps.openatom import abe_2cpn, run_openatom
 from ..apps.pingpong import ckdirect_pingpong
+from ..config import current
 from ..network.params import ABE, SURVEYOR, T3, MachineParams
 from ..sweep import RunSpec, SweepRunner, machine_overrides
 from ..util.stats import percent_improvement
@@ -34,8 +34,8 @@ from .report import render_series, render_table
 
 
 def full_scale() -> bool:
-    """True when REPRO_FULL_SCALE requests the paper's full PE ranges."""
-    return os.environ.get("REPRO_FULL_SCALE", "0") not in ("0", "", "false")
+    """True when the run configuration asks for the paper's full PE ranges."""
+    return current().full_scale
 
 
 # ---------------------------------------------------------------------------

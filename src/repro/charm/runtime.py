@@ -23,6 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan, ProcFaultPlan, ReliabilityParams
     from .section import ArraySection
 
+from ..config import ConfigError, current
 from ..network import Fabric, MachineParams, make_fabric
 from ..projections.events import CAT_MSG, HOST_TRACK
 from ..projections.eventlog import EventLog, current_tracer
@@ -89,28 +90,26 @@ class Runtime:
     ) -> None:
         if n_pes <= 0:
             raise CharmError(f"n_pes must be positive, got {n_pes}")
-        if shards is not None and shards < 1:
-            raise CharmError(f"shards must be >= 1, got {shards}")
-        from ..sim.shm import resolve_transport
-        from ..sim.timewarp import resolve_engine
-
+        try:
+            cfg = current().replace(
+                shards=shards, engine=engine, transport=transport)
+        except ConfigError as exc:
+            raise CharmError(str(exc)) from None
         #: parallel-engine mode: "conservative" (epoch windows) or
-        #: "optimistic" (Time Warp).  Resolved flag > REPRO_ENGINE >
-        #: default; only consulted when the sharded engine is armed —
-        #: fault/reliability runs fall back to the legacy serial path
-        #: regardless of the mode (same rule as the conservative
-        #: engine's fallback).
-        self.engine = resolve_engine(engine)
+        #: "optimistic" (Time Warp).  Explicit argument, else the run
+        #: configuration; only consulted when the sharded engine is
+        #: armed — fault/reliability runs fall back to the legacy
+        #: serial path regardless of the mode (same rule as the
+        #: conservative engine's fallback).
+        self.engine = cfg.engine
         #: shard IPC transport: "pipe" (Connection reference path) or
         #: "shm" (one-sided sentinel rings, see repro.sim.shm).
-        #: Resolved flag > REPRO_TRANSPORT > default; results are
-        #: bit-identical either way — the knob only moves bytes.
-        self.transport = resolve_transport(transport)
+        #: Results are bit-identical either way — it only moves bytes.
+        self.transport = cfg.transport
         self.machine = machine
-        # Honors REPRO_EVENTQ / --eventq; every implementation pops
-        # the same (time, priority, seq) order, so results are
-        # bit-identical regardless of which queue backs the run.
-        self.sim = make_simulator()
+        # Every queue implementation pops the same (time, priority,
+        # seq) order, so results are bit-identical whichever backs it.
+        self.sim = make_simulator(cfg.eventq)
         self.trace = Trace(record_samples=record_samples,
                            now_fn=lambda: self.sim.now)
         #: timeline tracer (None = tracing off, the near-zero-cost
@@ -143,7 +142,9 @@ class Runtime:
                 )
                 self.fault_injector.attach(self.fabric)
         # --- parallel engine (see repro.sim.parallel) ------------------
-        #: requested shard count; None = untouched legacy serial path.
+        #: requested shard count; None = untouched legacy serial path
+        #: (only an explicit argument arms the engine: the app drivers
+        #: pass the configured count).
         self.shards = shards
         #: CkDirect handles created by this process, by hid (the
         #: receiver-side registry cross-shard puts resolve against).

@@ -17,45 +17,9 @@ the Projections event log and written as Chrome trace-event JSON
 (open in Perfetto / chrome://tracing; one process per simulated
 runtime, one thread per PE).
 
-``--jobs N`` (or ``REPRO_JOBS=N``) fans each artifact's independent
-sweep points out over N worker processes; reports are byte-identical
-to a serial run, so it is purely a wall-clock knob.
-
-``--shards N`` (or ``REPRO_SHARDS=N``) partitions each *single* run
-over N shard processes with the conservative-lookahead parallel
-engine; reports are byte-identical to ``--shards 1``, so it too is
-purely a wall-clock knob.  When both are given, the sweep pool is
-scaled down so jobs x shards stays within the requested process
-budget.
-
-``--eventq IMPL`` (or ``REPRO_EVENTQ=IMPL``) selects the event-queue
-implementation backing every simulator — ``heap`` (the reference),
-``calendar`` (pure-Python calendar queue), ``compiled`` (the native
-core, when built), or ``auto`` (the default) — again with
-byte-identical output, so it is the third pure wall-clock knob.
-
-``--engine MODE`` (or ``REPRO_ENGINE=MODE``) selects the parallel
-engine's synchronization mode — ``conservative`` lookahead windows
-(the default) or ``optimistic`` Time Warp speculation with rollback
-and anti-messages; output is byte-identical for either mode, making
-it the fourth pure wall-clock knob (it matters only with
-``--shards``).
-
-``--transport NAME`` (or ``REPRO_TRANSPORT=NAME``) selects the shard
-IPC transport — ``pipe`` (the Connection reference path, default) or
-``shm`` (one-sided shared-memory rings with sentinel completion, the
-paper's own mechanism applied to our IPC); output is byte-identical
-for either transport, making it the fifth pure wall-clock knob (it
-too matters only with ``--shards``).
-
-Precedence for all five knobs is **flag over environment over
-default**: an explicit ``--jobs``/``--shards``/``--eventq``/
-``--engine``/``--transport`` always wins (the flag is exported into
-the matching env var so indirectly-run sweeps see it too);
-``REPRO_JOBS``/``REPRO_SHARDS``/``REPRO_EVENTQ``/``REPRO_ENGINE``/
-``REPRO_TRANSPORT`` apply only when the flag is absent.  Values below
-1, non-integer env strings, or unknown queue/engine/transport names
-are rejected with a one-line error, never silently clamped.
+Run-configuration flags (``--jobs``, ``--shards``, ``--eventq``,
+``--engine``, ``--transport``, ``--full-scale``) beat their ``REPRO_*``
+environment variables, which beat the defaults (see :mod:`repro.config`).
 
 ``repro serve`` starts the async simulation job server (persistent
 content-addressed result cache + bounded SweepRunner pool) and
@@ -65,7 +29,6 @@ content-addressed result cache + bounded SweepRunner pool) and
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -83,12 +46,19 @@ from .bench import (
     run_table2,
     run_vr_ablation,
 )
+from .config import (
+    ENGINE_CHOICES,
+    EVENTQ_CHOICES,
+    TRANSPORT_CHOICES,
+    ConfigError,
+    RunConfig,
+    count_arg,
+    install,
+)
 from .network.params import MACHINES
 from .projections.eventlog import EventLog, install_tracer, uninstall_tracer
-from .sim.eventq import EVENTQ_CHOICES
-from .sim.shm import TRANSPORT_CHOICES, TransportError
-from .sim.timewarp import ENGINE_CHOICES
 from .projections.export import write_chrome_trace
+from .sim.shm import TransportError
 
 ARTIFACTS = {
     "table1": "Table 1 — pingpong RTT, Infiniband (five stacks)",
@@ -149,12 +119,13 @@ def _parser() -> argparse.ArgumentParser:
                    help="write the run's event timeline as Chrome "
                         "trace-event JSON (works with every artifact)")
     p.add_argument("--full-scale", action="store_true",
-                   help="run the paper's full PE ranges (slow)")
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
+                   help="run the paper's full PE ranges (slow; default: "
+                        "$REPRO_FULL_SCALE)")
+    p.add_argument("--jobs", type=count_arg, default=None, metavar="N",
                    help="run sweep points over N worker processes "
                         "(default: $REPRO_JOBS, else serial; output is "
                         "identical at any N)")
-    p.add_argument("--shards", type=int, default=None, metavar="N",
+    p.add_argument("--shards", type=count_arg, default=None, metavar="N",
                    help="partition each single run over N shard "
                         "processes with the conservative-lookahead "
                         "engine (default: $REPRO_SHARDS, else the "
@@ -229,37 +200,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.iterations is not None and args.iterations < 1:
         parser.error(f"--iterations must be at least 1, got {args.iterations}")
-    if args.jobs is not None and args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    if args.shards is not None and args.shards < 1:
-        parser.error(f"--shards must be at least 1, got {args.shards}")
-    if args.full_scale:
-        os.environ["REPRO_FULL_SCALE"] = "1"
-    if args.jobs is not None:
-        # Sweeps resolve their pool size from REPRO_JOBS, so one flag
-        # covers every artifact (including the ones run indirectly).
-        os.environ["REPRO_JOBS"] = str(args.jobs)
-    if args.shards is not None:
-        # Runs resolve their shard count from REPRO_SHARDS, so one
-        # flag covers every artifact; runs that cannot shard (fault
-        # injection, link contention) fall back to serial on their own.
-        os.environ["REPRO_SHARDS"] = str(args.shards)
-    if args.eventq is not None:
-        # Simulators resolve their queue from REPRO_EVENTQ at
-        # construction (make_simulator), so the flag reaches every
-        # run, including shard workers forked by the parallel engine.
-        os.environ["REPRO_EVENTQ"] = args.eventq
-    if args.engine is not None:
-        # Runtimes resolve their engine mode from REPRO_ENGINE at
-        # construction; only meaningful together with --shards (the
-        # serial engine has nothing to synchronize).
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.transport is not None:
-        # Runtimes resolve their shard transport from REPRO_TRANSPORT
-        # at construction; like --engine it only moves bytes when
-        # --shards actually forks workers.
-        os.environ["REPRO_TRANSPORT"] = args.transport
+    try:
+        cfg = RunConfig.from_env(
+            jobs=args.jobs, shards=args.shards, eventq=args.eventq,
+            engine=args.engine, transport=args.transport,
+            full_scale=args.full_scale or None,
+        )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with install(cfg):
+        return _run(args, cfg)
 
+
+def _run(args, cfg: RunConfig) -> int:
+    """Run one artifact under the installed ``cfg``."""
     if args.artifact == "list":
         entries = {**ARTIFACTS, **COMMANDS}
         width = max(len(k) for k in entries)
@@ -324,7 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 parse_proc_profiles,
                 parse_profiles,
             )
-            from .sim.parallel import resolve_shards
 
             # Fabric matrix runs by default, or when --faults is given
             # explicitly; --proc alone runs only the process matrix.
@@ -353,7 +307,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                     print()
                 out = run_proc_chaos(
                     profiles=proc_profiles,
-                    shards=resolve_shards() or 2,
+                    shards=cfg.shards or 2,
                 )
                 print(out["report"])
                 if not out["ok"]:
@@ -365,9 +319,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(runner()["report"])
                 print()
     except (SweepError, ParallelEngineError, TransportError) as exc:
-        # Typically malformed REPRO_JOBS / REPRO_SHARDS /
-        # REPRO_TRANSPORT env values: surface the one-line message,
-        # not a deep traceback.
+        # A failed point or shard run: report it without the CLI's
+        # own traceback on top.
         print(f"error: {exc}", file=sys.stderr)
         exit_code = 2
     finally:

@@ -97,7 +97,7 @@ def engine_summary(log: EventLog, wall_s: float) -> Dict[str, object]:
     :mod:`repro.sim.eventq`), so dashboards can attribute wall-clock
     speedups to the queue rather than to workload changes.
     """
-    from ..sim.shm import resolve_transport
+    from ..config import current
 
     events = 0
     impls: List[str] = []
@@ -119,7 +119,7 @@ def engine_summary(log: EventLog, wall_s: float) -> Dict[str, object]:
                     transport_stats[k] += ts.get(k, 0)
     return {
         "eventq": impls[0] if len(impls) == 1 else (impls or ["unknown"]),
-        "transport": resolve_transport(),
+        "transport": current().transport,
         "transport_stats": transport_stats,
         "events": events,
         "wall_s": round(wall_s, 6),

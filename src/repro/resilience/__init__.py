@@ -6,8 +6,8 @@ same for the *real* processes that run a simulation:
 * :mod:`.supervisor` — coordinator-side shard supervision for the
   ``--shards N`` engines: barrier-piggybacked heartbeats, crash/hang
   detection, deterministic restart by message-log replay, and graceful
-  degradation to the serial engine after ``REPRO_MAX_SHARD_RESTARTS``
-  (bit-identical output on every rung of the ladder).
+  degradation to the serial engine after ``supervisor.MAX_RESTARTS``
+  restarts (bit-identical output on every rung of the ladder).
 * :mod:`.integrity` — per-object content checksums for the serve
   :class:`~repro.serve.store.ResultStore`'s self-healing read path
   (verify on read, quarantine corruption, recompute as a miss).
@@ -26,8 +26,6 @@ from .integrity import (
 from .supervisor import (
     RestartBudgetExceeded,
     ShardSupervisor,
-    resolve_max_restarts,
-    resolve_shard_deadline,
     supervise_conservative,
     supervise_timewarp,
 )
@@ -38,8 +36,6 @@ __all__ = [
     "ShardSupervisor",
     "checksum",
     "read_sidecar",
-    "resolve_max_restarts",
-    "resolve_shard_deadline",
     "sidecar_path",
     "supervise_conservative",
     "supervise_timewarp",

@@ -15,7 +15,8 @@ of its own could not have:
    rollback, anti-message and checkpoint — under Time Warp).  The
    supervisor therefore logs every message it sends to each shard;
    when a worker crashes (pipe EOF / ``Process.exitcode``) or hangs
-   (no barrier heartbeat within ``REPRO_SHARD_DEADLINE`` seconds), it
+   (no barrier heartbeat within the run configuration's
+   ``shard_deadline`` seconds), it
    re-forks a replacement *from the pristine parent image* and replays
    the log.  The replacement reconstructs the lost worker's exact
    barrier state — the conservative engine effectively re-runs from
@@ -23,8 +24,8 @@ of its own could not have:
    pre-GVT checkpoints and re-enters speculation — and the run's
    output stays bit-identical to a fault-free one.
 
-2. **Graceful degradation.**  After ``REPRO_MAX_SHARD_RESTARTS``
-   restarts the supervisor stops trying: it reaps every worker and
+2. **Graceful degradation.**  After :data:`MAX_RESTARTS` restarts
+   the supervisor stops trying: it reaps every worker and
    runs the whole problem serially *in the parent*, whose runtime is
    still exactly as constructed (host sends buffered, zero events
    run).  The degraded run is the ordinary ``--shards 1`` path and is
@@ -37,9 +38,9 @@ path adds no extra traffic.
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING, Any, List, Optional
 
+from ..config import current
 from ..sim.parallel import (
     ParallelEngineError,
     _reap_shard,
@@ -53,47 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _INF = float("inf")
 
 
-# ---------------------------------------------------------------------------
-# Knob resolution (env only — the supervisor has no per-run CLI flag)
-# ---------------------------------------------------------------------------
-
-
-def resolve_max_restarts() -> int:
-    """Shard restarts allowed before degrading to serial (default 2)."""
-    raw = os.environ.get("REPRO_MAX_SHARD_RESTARTS")
-    if raw is None:
-        return 2
-    try:
-        v = int(raw.strip())
-    except ValueError:
-        raise ParallelEngineError(
-            f"REPRO_MAX_SHARD_RESTARTS must be an integer, got {raw!r}"
-        ) from None
-    if v < 0:
-        raise ParallelEngineError(
-            f"REPRO_MAX_SHARD_RESTARTS must be >= 0, got {v}"
-        )
-    return v
-
-
-def resolve_shard_deadline() -> float:
-    """Wall-clock seconds a shard may take to reach its next barrier
-    before it counts as hung (default 120)."""
-    raw = os.environ.get("REPRO_SHARD_DEADLINE")
-    if raw is None:
-        return 120.0
-    try:
-        v = float(raw.strip())
-    except ValueError:
-        raise ParallelEngineError(
-            f"REPRO_SHARD_DEADLINE must be a number of seconds, "
-            f"got {raw!r}"
-        ) from None
-    if not v > 0:
-        raise ParallelEngineError(
-            f"REPRO_SHARD_DEADLINE must be > 0, got {v}"
-        )
-    return v
+#: Shard restarts allowed per run before degrading to serial.
+MAX_RESTARTS = 2
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +98,8 @@ class ShardSupervisor:
         self.worker = worker
         self.worker_extra = tuple(worker_extra)
         self.transport = rt.transport
-        self.deadline = resolve_shard_deadline()
-        self.max_restarts = resolve_max_restarts()
+        self.deadline = current().shard_deadline
+        self.max_restarts = MAX_RESTARTS
         self.restarts = 0
         self.crashes = 0
         self.hangs = 0

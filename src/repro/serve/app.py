@@ -90,15 +90,11 @@ class ServeApp:
         cache_bytes: Optional[int] = None,
         workers: int = 2,
         max_queue: int = 32,
-        jobs_per_run: Optional[int] = None,
-        point_timeout: Optional[float] = None,
     ) -> None:
         self.metrics = ServeMetrics()
         self.store = ResultStore(store_dir, max_bytes=cache_bytes)
         self.manager = JobManager(
-            self.store, self.metrics,
-            workers=workers, max_queue=max_queue,
-            jobs_per_run=jobs_per_run, point_timeout=point_timeout,
+            self.store, self.metrics, workers=workers, max_queue=max_queue,
         )
         self._server: Optional[asyncio.base_events.Server] = None
 

@@ -13,10 +13,9 @@ import json
 import sys
 from typing import List, Optional
 
+from ..config import ConfigError, RunConfig, install
 from ..network.params import MACHINES
 from ..sweep.points import POINTS
-from ..sweep.runner import resolve_timeout
-from ..sweep.spec import SweepError
 
 DEFAULT_PORT = 8642
 DEFAULT_STORE = ".repro-store"
@@ -40,7 +39,8 @@ def _serve_parser() -> argparse.ArgumentParser:
     p.add_argument("--queue", type=int, default=32, metavar="N",
                    help="max queued jobs before 429 backpressure (default 32)")
     p.add_argument("--jobs-per-run", type=int, default=None, metavar="N",
-                   help="SweepRunner --jobs per job (default: $REPRO_JOBS)")
+                   help="SweepRunner --jobs per job (default: $REPRO_JOBS, "
+                        "else 1)")
     p.add_argument("--point-timeout", type=float, default=None, metavar="S",
                    help="per-point timeout seconds "
                         "(default: $REPRO_SWEEP_TIMEOUT, else 600)")
@@ -60,30 +60,26 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         print(f"error: --cache-mb must be positive, got {args.cache_mb}",
               file=sys.stderr)
         return 2
-    if args.jobs_per_run is not None and args.jobs_per_run < 1:
-        print(f"error: --jobs-per-run must be at least 1, got {args.jobs_per_run}",
-              file=sys.stderr)
-        return 2
     try:
-        resolve_timeout(args.point_timeout)
-    except SweepError as exc:
-        print(f"error: --point-timeout: {exc}", file=sys.stderr)
+        cfg = RunConfig.from_env(jobs=args.jobs_per_run,
+                                 sweep_timeout=args.point_timeout)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
     from .app import ServeApp, serve_forever
 
-    app = ServeApp(
-        args.store,
-        cache_bytes=int(args.cache_mb * 1024 * 1024),
-        workers=args.workers,
-        max_queue=args.queue,
-        jobs_per_run=args.jobs_per_run,
-        point_timeout=args.point_timeout,
-    )
-    try:
-        asyncio.run(serve_forever(app, args.host, args.port))
-    except KeyboardInterrupt:  # pragma: no cover - signal path races
-        pass
+    with install(cfg):
+        app = ServeApp(
+            args.store,
+            cache_bytes=int(args.cache_mb * 1024 * 1024),
+            workers=args.workers,
+            max_queue=args.queue,
+        )
+        try:
+            asyncio.run(serve_forever(app, args.host, args.port))
+        except KeyboardInterrupt:  # pragma: no cover - signal path races
+            pass
     return 0
 
 

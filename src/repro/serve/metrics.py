@@ -13,9 +13,7 @@ from __future__ import annotations
 import time
 from typing import Dict, Tuple
 
-from ..sim.eventq import resolved_eventq_name
-from ..sim.shm import resolve_transport
-from ..sim.timewarp import resolve_engine
+from ..config import current
 from ..sim.trace import RunningStats
 from ..util.stats import LatencyHistogram
 
@@ -38,13 +36,9 @@ class ServeMetrics:
         # engine throughput (simulated events fired by completed jobs)
         self.sim_events = 0
         self.sim_wall_s = 0.0
-        # Workers fork from this process, so the queue implementation
-        # and engine mode resolved here (REPRO_EVENTQ / REPRO_ENGINE)
-        # are the ones every job runs on.  Name resolution is direct —
-        # no throwaway simulator needs to be built to learn it.
-        self.eventq = resolved_eventq_name()
-        self.engine = resolve_engine()
-        self.transport = resolve_transport()
+        # Jobs run in this process and in workers forked from it, so
+        # the config installed here is the one every job runs with.
+        self.config = current()
         # per-(kind, hit|miss) latency
         self._hist: Dict[Tuple[str, str], LatencyHistogram] = {}
         self._stats: Dict[Tuple[str, str], RunningStats] = {}
@@ -87,9 +81,12 @@ class ServeMetrics:
                 "bad_requests": self.bad_requests,
             },
             "engine": {
-                "eventq": self.eventq,
-                "mode": self.engine,
-                "transport": self.transport,
+                "eventq": self.config.eventq,
+                "mode": self.config.engine,
+                "transport": self.config.transport,
+                "shards": self.config.shards,
+                "jobs": self.config.jobs,
+                "shard_deadline": self.config.shard_deadline,
                 "events": self.sim_events,
                 "events_per_s": (
                     round(self.sim_events / self.sim_wall_s, 1)

@@ -4,8 +4,7 @@ Public surface:
 
 * :class:`Simulator` — the event loop and clock (heap reference).
 * :func:`make_simulator` — build on the selected event-queue
-  implementation (``--eventq``/``REPRO_EVENTQ``; see
-  :mod:`repro.sim.eventq`).
+  implementation (``--eventq``; see :mod:`repro.sim.eventq`).
 * :class:`Event` — a cancellable scheduled callback.
 * :class:`Entity` — base class for things living in simulated time.
 * :class:`Trace`, :class:`RunningStats` — statistics collection.
@@ -16,12 +15,10 @@ from .engine import SimulationError, Simulator
 from .entity import Entity
 from .event import Event
 from .eventq import (
-    EVENTQ_CHOICES,
     CalendarSimulator,
     compiled_available,
     eventq_name,
     make_simulator,
-    resolve_eventq,
 )
 from .rng import DEFAULT_SEED, make_rng, split_seeds, substream
 from .trace import RunningStats, Sample, Trace
@@ -39,9 +36,7 @@ __all__ = [
     "split_seeds",
     "DEFAULT_SEED",
     "make_simulator",
-    "resolve_eventq",
     "eventq_name",
     "compiled_available",
     "CalendarSimulator",
-    "EVENTQ_CHOICES",
 ]

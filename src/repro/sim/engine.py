@@ -41,7 +41,7 @@ This class is also the *reference implementation* of the pluggable
 event-queue layer: :mod:`repro.sim.eventq` provides a calendar-queue
 variant and an optional compiled core that must match this engine's
 pop order bit-for-bit.  Construct through
-:func:`repro.sim.eventq.make_simulator` to honor ``REPRO_EVENTQ``.
+:func:`repro.sim.eventq.make_simulator` to honor the configured queue.
 """
 
 from __future__ import annotations

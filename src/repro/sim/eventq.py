@@ -27,17 +27,16 @@ implementations** — ``--eventq`` is a wall-clock knob exactly like
 ``--jobs`` and ``--shards``, and it is deliberately *not* part of
 :data:`repro.sweep.spec.ENGINE_SCHEMA` digests.
 
-Selection precedence is flag over environment over default (matching
-``--jobs``/``--shards``): an explicit ``eventq=``/``--eventq`` wins,
-else ``REPRO_EVENTQ``, else ``auto``.
+:func:`make_simulator` takes an explicit ``eventq=``, else the run
+configuration's (:mod:`repro.config`).
 """
 
 from __future__ import annotations
 
-import os
 from bisect import insort
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
+from ..config import RunConfig, current
 from .engine import _COMPACT_MIN, SimulationError, Simulator
 from .event import Event
 
@@ -45,9 +44,6 @@ try:  # the optional compiled core (see setup.py / _ceventq.c)
     from . import _ceventq
 except ImportError:  # pragma: no cover - depends on the build
     _ceventq = None
-
-#: Valid ``--eventq`` / ``REPRO_EVENTQ`` values.
-EVENTQ_CHOICES = ("auto", "heap", "calendar", "compiled")
 
 #: ``auto``: pending_active at the first run()-family call at or above
 #: this commits to the calendar queue; below it, to the heap.
@@ -62,24 +58,6 @@ _TRIM_POS = 4096
 def compiled_available() -> bool:
     """True when the native :mod:`repro.sim._ceventq` core is importable."""
     return _ceventq is not None
-
-
-def resolve_eventq(eventq: Optional[str] = None) -> str:
-    """Event-queue choice: explicit argument, else ``REPRO_EVENTQ``, else auto.
-
-    Precedence is *flag over environment over default* (matching
-    :func:`repro.sweep.runner.resolve_jobs`).  Unknown names raise
-    :class:`SimulationError` rather than being silently ignored.
-    """
-    if eventq is None:
-        eventq = os.environ.get("REPRO_EVENTQ", "").strip() or "auto"
-    name = str(eventq).strip().lower()
-    if name not in EVENTQ_CHOICES:
-        raise SimulationError(
-            f"unknown event queue {eventq!r} "
-            f"(choose from {', '.join(EVENTQ_CHOICES)})"
-        )
-    return name
 
 
 def eventq_name(sim: Any) -> str:
@@ -581,7 +559,7 @@ def checkpoint_sim(sim: Any) -> tuple:
     count.  Restoring and re-running therefore replays the exact
     ``(time, priority, seq)`` pop order of the original execution.
 
-    Works on every :data:`EVENTQ_CHOICES` implementation, including an
+    Works on every ``--eventq`` implementation, including an
     :class:`AutoSimulator` that commits to a different class between
     checkpoint and restore (the snapshot pins ``__class__``).
     Checkpoints must be taken outside ``run()`` (between events).
@@ -635,32 +613,6 @@ def restore_sim(sim: Any, snap: tuple) -> None:
 # ---------------------------------------------------------------------------
 
 
-def resolved_eventq_name(eventq: Optional[str] = None) -> str:
-    """The concrete queue name :func:`make_simulator` would pick.
-
-    Follows the same resolution (flag > ``REPRO_EVENTQ`` > auto) and
-    the same compiled-absent error, but without constructing a
-    simulator — callers that only *report* the queue (e.g. the serve
-    layer's ``/metrics``) should not pay for a throwaway instance.
-    """
-    name = resolve_eventq(eventq)
-    if name == "heap":
-        return Simulator.eventq_name
-    if name == "calendar":
-        return CalendarSimulator.eventq_name
-    if name == "compiled":
-        if _ceventq is None:
-            raise SimulationError(
-                "REPRO_EVENTQ=compiled but repro.sim._ceventq is not "
-                "built; install with `pip install -e .[compiled]` or run "
-                "`python setup.py build_ext --inplace`"
-            )
-        return CompiledSimulator.eventq_name
-    if _ceventq is not None:
-        return CompiledSimulator.eventq_name
-    return AutoSimulator.eventq_name
-
-
 def make_simulator(eventq: Optional[str] = None) -> Simulator:
     """Build a simulator on the resolved event-queue implementation.
 
@@ -671,7 +623,7 @@ def make_simulator(eventq: Optional[str] = None) -> Simulator:
     the extension is absent is an error (CI relies on this to catch a
     silently-skipped build); ``auto`` falls back silently.
     """
-    name = resolve_eventq(eventq)
+    name = (current() if eventq is None else RunConfig(eventq=eventq)).eventq
     if name == "heap":
         return Simulator()
     if name == "calendar":
@@ -679,7 +631,7 @@ def make_simulator(eventq: Optional[str] = None) -> Simulator:
     if name == "compiled":
         if _ceventq is None:
             raise SimulationError(
-                "REPRO_EVENTQ=compiled but repro.sim._ceventq is not "
+                "eventq=compiled but repro.sim._ceventq is not "
                 "built; install with `pip install -e .[compiled]` or run "
                 "`python setup.py build_ext --inplace`"
             )

@@ -9,8 +9,8 @@ event-queue-agnostic: it drives each shard only through the
 surface, which every :mod:`repro.sim.eventq` implementation (heap,
 calendar, compiled) honors with the same ``(time, priority, seq)``
 pop order — so ``--eventq`` composes freely with ``--shards`` and the
-bit-identity guarantee below is unchanged.  Worker processes inherit
-``REPRO_EVENTQ`` through fork, so all shards run the same queue.
+bit-identity guarantee below is unchanged.  Worker processes fork from
+the coordinator's runtime, so all shards run the same queue.
 Shards advance in lock-step **epoch windows**:
 
 1. At a barrier every shard reports its next local event time and the
@@ -61,46 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class ParallelEngineError(RuntimeError):
     """A sharded run violated an engine invariant (or a shard died)."""
-
-
-# ---------------------------------------------------------------------------
-# Shard-count resolution
-# ---------------------------------------------------------------------------
-
-
-def resolve_shards(shards: Optional[int] = None) -> Optional[int]:
-    """Shard count: explicit argument, else ``REPRO_SHARDS``, else None.
-
-    ``None`` selects the untouched legacy serial engine; any integer
-    ``>= 1`` (including 1) selects engine semantics, the baseline the
-    bit-identity guarantee is stated against.
-
-    Precedence is *flag over environment over default* (matching
-    :func:`repro.sweep.runner.resolve_jobs`): an explicit ``shards``
-    argument (the ``--shards`` flag) wins; ``REPRO_SHARDS`` applies
-    only when no argument is given.  Values below 1 or non-integer
-    env strings raise :class:`ParallelEngineError` rather than being
-    silently clamped.
-    """
-    if shards is not None:
-        shards = int(shards)
-        if shards < 1:
-            raise ParallelEngineError(f"shards must be at least 1, got {shards}")
-        return shards
-    env = os.environ.get("REPRO_SHARDS", "").strip()
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise ParallelEngineError(
-                f"REPRO_SHARDS must be a positive integer, got {env!r}"
-            ) from None
-        if val < 1:
-            raise ParallelEngineError(
-                f"REPRO_SHARDS must be at least 1, got {val}"
-            )
-        return val
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -102,11 +102,9 @@ import time
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
-    "TRANSPORT_CHOICES",
+    "RING_BYTES",
     "TransportError",
     "TornFrameError",
-    "resolve_transport",
-    "resolve_ring_bytes",
     "channel_pair",
     "PipeChannel",
     "ShmChannel",
@@ -116,7 +114,7 @@ __all__ = [
 
 
 class TransportError(RuntimeError):
-    """A transport knob or wire invariant was violated."""
+    """A wire invariant was violated."""
 
 
 class TornFrameError(TransportError):
@@ -125,59 +123,8 @@ class TornFrameError(TransportError):
     reader's expected next frame."""
 
 
-# ---------------------------------------------------------------------------
-# Knob resolution (flag > env > default, as resolve_shards/engine)
-# ---------------------------------------------------------------------------
-
-TRANSPORT_CHOICES = ("pipe", "shm")
-
-_DEFAULT_RING = 1 << 20  # 1 MiB per direction
-_MIN_RING = 4096
-
-
-def resolve_transport(transport: Optional[str] = None) -> str:
-    """Shard transport: explicit argument, else ``REPRO_TRANSPORT``,
-    else ``pipe`` (the reference).
-
-    Precedence is *flag over environment over default*, matching
-    :func:`repro.sim.parallel.resolve_shards`; unknown names raise a
-    one-line :class:`TransportError`, never silently fall back.
-    """
-    if transport is not None:
-        val = str(transport).strip().lower()
-        if val not in TRANSPORT_CHOICES:
-            raise TransportError(
-                f"transport must be one of {', '.join(TRANSPORT_CHOICES)}, "
-                f"got {transport!r}"
-            )
-        return val
-    env = os.environ.get("REPRO_TRANSPORT", "").strip().lower()
-    if env:
-        if env not in TRANSPORT_CHOICES:
-            raise TransportError(
-                f"REPRO_TRANSPORT must be one of "
-                f"{', '.join(TRANSPORT_CHOICES)}, got {env!r}"
-            )
-        return env
-    return "pipe"
-
-
-def resolve_ring_bytes() -> int:
-    """``REPRO_SHM_RING``: per-direction ring capacity in bytes."""
-    env = os.environ.get("REPRO_SHM_RING", "").strip()
-    if not env:
-        return _DEFAULT_RING
-    try:
-        val = int(env)
-    except ValueError:
-        raise TransportError(
-            f"REPRO_SHM_RING must be an integer byte count, got {env!r}"
-        ) from None
-    if val < _MIN_RING:
-        raise TransportError(
-            f"REPRO_SHM_RING must be at least {_MIN_RING}, got {val}"
-        )
-    return (val + 7) & ~7
+#: Per-direction ring capacity in bytes (a multiple of 8).
+RING_BYTES = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -748,7 +695,7 @@ def channel_pair(ctx, transport: str, tag: str = "ch"):
         return PipeChannel(parent), PipeChannel(child)
     if transport != "shm":
         raise TransportError(f"unknown transport {transport!r}")
-    capacity = resolve_ring_bytes()
+    capacity = RING_BYTES
     prefix = _next_name(tag)
     seg_down = _create_segment(prefix + "d", _HDR + capacity)  # parent->child
     seg_up = _create_segment(prefix + "u", _HDR + capacity)    # child->parent

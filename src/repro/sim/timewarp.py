@@ -26,14 +26,13 @@ Protocol (lock-step rounds on the same fork/pipe transport):
    rolls back if any anti target or incoming record lies at or below
    its local clock (**straggler**), admits its inbox, fossil-collects
    checkpoints below GVT, checkpoints on an event-count cadence
-   (``REPRO_TW_CPEVENTS``), and speculates to the round's bound
+   (:data:`CP_EVENTS`), and speculates to the round's bound
    ``floor + H*delta``.  By default ``H`` is **adaptive**: the
    coordinator collapses it to 1 — exactly the conservative window,
    which admits no stragglers — whenever a routed arrival lands in
    some shard's past, and doubles it after every clean round.
-   ``REPRO_TW_HORIZON=H`` pins a fixed horizon instead, and
-   ``REPRO_TW_HORIZON=max`` selects unbounded run-to-drain
-   speculation.
+   Setting :data:`HORIZON` pins a fixed horizon instead (``inf``
+   selects unbounded run-to-drain speculation).
 
 Rollback restores the newest checkpoint strictly below the straggler
 time and replays.  Replay is **bit-exact** (state restore is in-place
@@ -105,91 +104,20 @@ STAT_KEYS = (
 )
 
 
-# ---------------------------------------------------------------------------
-# Engine-mode resolution (flag > env > default, as resolve_shards/eventq)
-# ---------------------------------------------------------------------------
+#: Speculation bound per round, in lookahead windows (``floor +
+#: H*delta``).  None (the default) selects the **adaptive** horizon:
+#: the coordinator starts at ``H=1`` — exactly the conservative window,
+#: which provably admits no stragglers — doubles ``H`` after every
+#: straggler-free round, and collapses back to 1 the moment a routed
+#: record or anti-message lands in some shard's past.  Speculation is
+#: therefore aggressive through decoupled (compute) phases and
+#: automatically conservative through latency-coupled (barrier)
+#: phases, where fixed horizons roll back persistently.  A number
+#: pins a fixed horizon; ``inf`` runs every round to drain.
+HORIZON: Optional[float] = None
 
-
-ENGINE_CHOICES = ("conservative", "optimistic")
-
-
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Engine mode: explicit argument, else ``REPRO_ENGINE``, else
-    ``conservative``.
-
-    Precedence is *flag over environment over default* (matching
-    :func:`repro.sim.parallel.resolve_shards` and
-    :func:`repro.sim.eventq.resolve_eventq`); unknown values raise a
-    one-line :class:`ParallelEngineError` rather than being ignored.
-    """
-    if engine is not None:
-        val = str(engine).strip().lower()
-        if val not in ENGINE_CHOICES:
-            raise ParallelEngineError(
-                f"engine must be one of {', '.join(ENGINE_CHOICES)}, "
-                f"got {engine!r}"
-            )
-        return val
-    env = os.environ.get("REPRO_ENGINE", "").strip().lower()
-    if env:
-        if env not in ENGINE_CHOICES:
-            raise ParallelEngineError(
-                f"REPRO_ENGINE must be one of {', '.join(ENGINE_CHOICES)}, "
-                f"got {env!r}"
-            )
-        return env
-    return "conservative"
-
-
-def _resolve_horizon() -> Optional[float]:
-    """``REPRO_TW_HORIZON``: speculation bound per round, in lookahead
-    windows (``floor + H*delta``).
-
-    Unset (the default) selects the **adaptive** horizon: the
-    coordinator starts at ``H=1`` — exactly the conservative window,
-    which provably admits no stragglers — doubles ``H`` after every
-    straggler-free round, and collapses back to 1 the moment a routed
-    record or anti-message lands in some shard's past.  Speculation is
-    therefore aggressive through decoupled (compute) phases and
-    automatically conservative through latency-coupled (barrier)
-    phases, where fixed horizons roll back persistently.  ``max``
-    selects unbounded run-to-drain speculation; a positive integer
-    pins a fixed horizon."""
-    env = os.environ.get("REPRO_TW_HORIZON", "").strip().lower()
-    if not env:
-        return None
-    if env == "max":
-        return _INF
-    try:
-        val = int(env)
-    except ValueError:
-        raise ParallelEngineError(
-            f"REPRO_TW_HORIZON must be a positive integer or 'max', "
-            f"got {env!r}"
-        ) from None
-    if val < 1:
-        raise ParallelEngineError(
-            f"REPRO_TW_HORIZON must be at least 1, got {val}"
-        )
-    return float(val)
-
-
-def _resolve_cp_events() -> int:
-    """``REPRO_TW_CPEVENTS``: mid-run checkpoint cadence in events."""
-    env = os.environ.get("REPRO_TW_CPEVENTS", "").strip()
-    if not env:
-        return 50_000
-    try:
-        val = int(env)
-    except ValueError:
-        raise ParallelEngineError(
-            f"REPRO_TW_CPEVENTS must be a positive integer, got {env!r}"
-        ) from None
-    if val < 1:
-        raise ParallelEngineError(
-            f"REPRO_TW_CPEVENTS must be at least 1, got {val}"
-        )
-    return val
+#: Mid-run checkpoint cadence, in events.
+CP_EVENTS = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -719,5 +647,5 @@ def run_timewarp(rt: "Runtime") -> float:
 
     return supervise_timewarp(
         rt, ctx, shard_nodes(rt.fabric.topology, n), _lookahead(rt),
-        _resolve_horizon(), _resolve_cp_events(),
+        HORIZON, CP_EVENTS,
     )

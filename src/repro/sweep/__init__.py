@@ -4,7 +4,7 @@ The paper's tables and figures are *sweeps*: sets of independent
 simulation points (one per machine/stack/size/PE-count combination)
 merged into one report.  This package runs those points through a
 :class:`SweepRunner` that can fan them out over a ``multiprocessing``
-worker pool (``--jobs N`` / ``REPRO_JOBS``) while keeping the output
+worker pool (``--jobs N``; see :mod:`repro.config`) while keeping the output
 byte-identical to a serial run.
 
 Layered as:
@@ -18,7 +18,7 @@ Layered as:
 
 from . import stats
 from .points import POINTS, point_function, register_point
-from .runner import DEFAULT_TIMEOUT, SweepRunner, execute_spec, resolve_jobs, run_sweep
+from .runner import SweepRunner, execute_spec, run_sweep
 from .spec import (
     ENGINE_SCHEMA,
     RunResult,
@@ -31,7 +31,6 @@ from .spec import (
 from .stats import SweepRecord
 
 __all__ = [
-    "DEFAULT_TIMEOUT",
     "ENGINE_SCHEMA",
     "POINTS",
     "canonical_bytes",
@@ -45,7 +44,6 @@ __all__ = [
     "machine_overrides",
     "point_function",
     "register_point",
-    "resolve_jobs",
     "run_sweep",
     "stats",
 ]

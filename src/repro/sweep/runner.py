@@ -21,23 +21,22 @@ Guarantees, in order of importance:
   parent merges them (run ids and event ids remapped) in spec order,
   so a traced parallel sweep produces one coherent timeline.
 
-Worker-pool size resolution: explicit ``jobs=`` argument, else the
-``REPRO_JOBS`` environment variable, else 1 (serial).  The start
-method prefers ``fork`` (cheap, inherits registered point functions)
-and can be pinned with ``REPRO_MP_START``.
+Pool size and per-point timeout come from the run configuration
+(:mod:`repro.config`: ``jobs``, ``sweep_timeout``) unless given
+explicitly.  Workers fork wherever ``fork`` exists, so they inherit
+every registered point function.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
-import os
 import time
 import traceback
 from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence
 
+from ..config import RunConfig, current, install
 from ..projections.eventlog import (
     EventLog,
     current_tracer,
@@ -45,84 +44,12 @@ from ..projections.eventlog import (
     uninstall_tracer,
 )
 from ..projections.events import TraceEvent
-from ..sim.parallel import resolve_shards
 from .points import point_function
-from .spec import RunResult, RunSpec, SweepError
+from .spec import RunResult, RunSpec
 from .stats import SweepRecord, record
-
-#: Default per-point timeout (seconds); REPRO_SWEEP_TIMEOUT overrides.
-DEFAULT_TIMEOUT = 600.0
 
 #: Poll interval for the worker supervision loop (seconds).
 _POLL_S = 0.05
-
-
-def resolve_jobs(jobs: Optional[int] = None) -> int:
-    """Worker count: explicit argument, else ``REPRO_JOBS``, else 1.
-
-    Precedence is *flag over environment over default*: an explicit
-    ``jobs`` argument (the ``--jobs`` flag) always wins; ``REPRO_JOBS``
-    applies only when no argument is given; absent both, sweeps run
-    serially.  Invalid values — anything that is not an integer >= 1 —
-    raise :class:`SweepError` with a one-line message rather than
-    being silently clamped or ignored.
-    """
-    if jobs is not None:
-        jobs = int(jobs)
-        if jobs < 1:
-            raise SweepError(f"jobs must be at least 1, got {jobs}")
-        return jobs
-    env = os.environ.get("REPRO_JOBS", "").strip()
-    if env:
-        try:
-            val = int(env)
-        except ValueError:
-            raise SweepError(
-                f"REPRO_JOBS must be a positive integer, got {env!r}"
-            ) from None
-        if val < 1:
-            raise SweepError(f"REPRO_JOBS must be at least 1, got {val}")
-        return val
-    return 1
-
-
-def resolve_timeout(timeout: Optional[float] = None) -> float:
-    """Per-point timeout in seconds: explicit argument, else
-    ``REPRO_SWEEP_TIMEOUT``, else :data:`DEFAULT_TIMEOUT`.
-
-    Same precedence and error style as :func:`resolve_jobs`: anything
-    that is not a finite number > 0 raises :class:`SweepError`.
-    """
-    if timeout is not None:
-        name, raw = "timeout", timeout
-    else:
-        name, raw = "REPRO_SWEEP_TIMEOUT", os.environ.get(
-            "REPRO_SWEEP_TIMEOUT", "").strip()
-        if not raw:
-            return DEFAULT_TIMEOUT
-    try:
-        val = float(raw)
-    except (TypeError, ValueError):
-        raise SweepError(
-            f"{name} must be a number of seconds, got {raw!r}"
-        ) from None
-    if not (math.isfinite(val) and val > 0):
-        raise SweepError(f"{name} must be finite and > 0, got {raw!r}")
-    return val
-
-
-def _mp_context():
-    """The multiprocessing context for sweep workers.
-
-    ``fork`` is preferred: workers start in milliseconds and inherit
-    every registered point function (including ones registered by the
-    calling application/test).  ``REPRO_MP_START`` pins a method
-    explicitly (e.g. ``spawn`` for debugging fork-unsafe state).
-    """
-    method = os.environ.get("REPRO_MP_START", "").strip()
-    if not method:
-        method = "fork" if "fork" in mp.get_all_start_methods() else None
-    return mp.get_context(method)
 
 
 def execute_spec(spec: RunSpec) -> RunResult:
@@ -153,15 +80,17 @@ def _serialize_log(log: EventLog) -> tuple:
     return events, runs
 
 
-def _worker_main(spec: RunSpec, trace: bool, conn) -> None:
-    """Worker entry: run the point, optionally tracing, ship the result."""
+def _worker_main(spec: RunSpec, trace: bool, conn, cfg: RunConfig) -> None:
+    """Worker entry: run the point under the sweep's run configuration,
+    optionally tracing, and ship the result."""
     try:
         log = None
         if trace:
             log = EventLog()
             install_tracer(log)
         try:
-            res = execute_spec(spec)
+            with install(cfg):
+                res = execute_spec(spec)
         finally:
             if trace:
                 uninstall_tracer()
@@ -211,14 +140,15 @@ class SweepRunner:
         timeout: Optional[float] = None,
         label: str = "sweep",
     ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        shards = resolve_shards()
+        self.config = current().replace(jobs=jobs, sweep_timeout=timeout)
+        self.jobs = self.config.jobs
+        shards = self.config.shards
         if shards is not None and shards > 1 and self.jobs > 1:
             # Each point may fork `shards` engine workers of its own:
             # scale the pool so jobs x shards stays within the
             # requested process budget.
             self.jobs = max(1, self.jobs // shards)
-        self.timeout = resolve_timeout(timeout)
+        self.timeout = self.config.sweep_timeout
         self.label = label
 
     def run(
@@ -271,7 +201,8 @@ class SweepRunner:
         specs: List[RunSpec],
         progress: Optional[Callable[[RunResult], None]] = None,
     ) -> List[RunResult]:
-        ctx = _mp_context()
+        ctx = mp.get_context(
+            "fork" if "fork" in mp.get_all_start_methods() else None)
         tracer = current_tracer()
         trace = tracer is not None
         results: List[Optional[RunResult]] = [None] * len(specs)
@@ -289,7 +220,8 @@ class SweepRunner:
                     idx, spec = todo.popleft()
                     parent_conn, child_conn = ctx.Pipe(duplex=False)
                     proc = ctx.Process(
-                        target=_worker_main, args=(spec, trace, child_conn),
+                        target=_worker_main,
+                        args=(spec, trace, child_conn, self.config),
                         daemon=True,
                         name=f"sweep:{spec.label()}",
                     )

@@ -12,16 +12,22 @@ from repro.bench import (
     run_table1,
     run_table2,
 )
+from repro.config import ConfigError
 from repro.network.params import SURVEYOR
 
 
 def test_full_scale_env(monkeypatch):
     monkeypatch.delenv("REPRO_FULL_SCALE", raising=False)
     assert not full_scale()
-    monkeypatch.setenv("REPRO_FULL_SCALE", "1")
-    assert full_scale()
-    monkeypatch.setenv("REPRO_FULL_SCALE", "0")
-    assert not full_scale()
+    for on in ("1", "true", "True", "YES", "on"):
+        monkeypatch.setenv("REPRO_FULL_SCALE", on)
+        assert full_scale(), on
+    for off in ("0", "", "false", "False", "FALSE", "no", "off", "OFF"):
+        monkeypatch.setenv("REPRO_FULL_SCALE", off)
+        assert not full_scale(), off
+    monkeypatch.setenv("REPRO_FULL_SCALE", "maybe")
+    with pytest.raises(ConfigError, match="REPRO_FULL_SCALE"):
+        full_scale()
 
 
 def test_table1_custom_sizes_no_paper_column():

@@ -1,8 +1,28 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
+from repro import cli
 from repro.cli import main
+from repro.config import current
+
+#: One malformed value per run-configuration variable.
+MALFORMED_ENV = {
+    "REPRO_JOBS": "many",
+    "REPRO_SHARDS": "lots",
+    "REPRO_EVENTQ": "splay",
+    "REPRO_ENGINE": "bogus",
+    "REPRO_TRANSPORT": "bogus",
+    "REPRO_SHARD_DEADLINE": "soon",
+    "REPRO_SWEEP_TIMEOUT": "inf",
+    "REPRO_FULL_SCALE": "maybe",
+}
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("started despite a malformed run configuration")
 
 
 def test_list(capsys):
@@ -161,6 +181,51 @@ def test_jobs_flag_overrides_env(monkeypatch, capsys):
     # The flag re-exports a valid REPRO_JOBS, so the run succeeds.
     assert main(["table1", "--iterations", "5", "--jobs", "2"]) == 0
     assert "CkDirect CHARM++ (ours)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("var", sorted(MALFORMED_ENV))
+def test_malformed_env_fails_before_any_run(monkeypatch, capsys, var):
+    monkeypatch.setattr(cli, "run_table1", _must_not_run)
+    monkeypatch.setenv(var, MALFORMED_ENV[var])
+    assert main(["table1", "--iterations", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {var} ")
+    assert captured.err.count("\n") == 1
+
+
+def test_flags_install_the_run_config(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_fig2a", lambda pes: seen.append(
+        current()) or {"report": ""})
+    assert main(["fig2a", "--jobs", "3", "--shards", "2", "--eventq",
+                 "heap", "--engine", "optimistic", "--transport", "shm",
+                 "--full-scale"]) == 0
+    (cfg,) = seen
+    assert (cfg.jobs, cfg.shards, cfg.eventq, cfg.engine, cfg.transport,
+            cfg.full_scale) == (3, 2, "heap", "optimistic", "shm", True)
+    assert current() != cfg  # uninstalled when main returns
+
+
+def test_flags_leave_environment_untouched(capsys):
+    before = dict(os.environ)
+    assert main(["fig2a", "--pes", "8", "--shards", "2", "--transport",
+                 "shm", "--eventq", "heap"]) == 0
+    assert "Figure 2(a)" in capsys.readouterr().out
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("var", ["REPRO_JOBS", "REPRO_TRANSPORT"])
+def test_serve_rejects_malformed_env_before_binding(monkeypatch, capsys, var):
+    import repro.serve.app as serve_app
+    from repro.serve.cli import serve_main
+
+    monkeypatch.setattr(serve_app, "ServeApp", _must_not_run)
+    monkeypatch.setattr(serve_app, "serve_forever", _must_not_run)
+    monkeypatch.setenv(var, MALFORMED_ENV[var])
+    assert serve_main(["--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {var} ") and err.count("\n") == 1
 
 
 def test_list_includes_service_commands(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.config import current, install
 from repro.network.params import ABE, SURVEYOR
 from repro.projections.eventlog import EventLog
 from repro.projections.profile import (
@@ -22,6 +23,14 @@ def test_pingpong_profile_reconciles():
             f"{row['label']}: timeline={row['timeline']} vs "
             f"{row['counter_name']}={row['counter']}"
         )
+
+
+def test_profile_reports_the_configured_transport():
+    for transport in ("pipe", "shm"):
+        with install(current().replace(transport=transport)):
+            result = run_profile(app="pingpong", machine=ABE,
+                                 stack="ckdirect", size=1000, iterations=5)
+        assert f"transport={transport}," in result["report"]
 
 
 def test_profile_report_sections():

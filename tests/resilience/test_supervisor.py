@@ -17,14 +17,10 @@ import os
 
 import pytest
 
+from repro.config import MAX_WAIT_S, current, install
 from repro.faults import ProcFaultPlan, ProcFaultRule
 from repro.network.params import SURVEYOR
 from repro.resilience import supervisor
-from repro.resilience.supervisor import (
-    resolve_max_restarts,
-    resolve_shard_deadline,
-)
-from repro.sim.parallel import ParallelEngineError
 from repro.sim.shm import active_segments
 
 CFG = dict(domain=(16, 16, 16), vr=2, iterations=3,
@@ -146,7 +142,7 @@ def test_slow_worker_is_not_a_false_positive(baseline):
 
 @pytest.mark.parametrize("engine", ["conservative", "optimistic"])
 def test_restart_budget_degrades_to_serial(baseline, engine, monkeypatch):
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "1")
+    monkeypatch.setattr(supervisor, "MAX_RESTARTS", 1)
     digest, events = baseline
     plan = ProcFaultPlan("kill-every", (
         ProcFaultRule("kill", shard=1, at_round=3, every_incarnation=True),
@@ -163,7 +159,7 @@ def test_restart_budget_degrades_to_serial(baseline, engine, monkeypatch):
 
 
 def test_zero_budget_degrades_on_first_failure(baseline, monkeypatch):
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "0")
+    monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
     digest, events = baseline
     r = _run(shards=4, proc_faults=ProcFaultPlan.named("kill-shard"))
     sup = r.runtime.supervision
@@ -211,29 +207,16 @@ def test_failed_spawn_reaps_started_shards(monkeypatch, transport, failure):
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution
+# Deadline bound
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_max_restarts(monkeypatch):
-    assert resolve_max_restarts() == 2
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "5")
-    assert resolve_max_restarts() == 5
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "-1")
-    with pytest.raises(ParallelEngineError, match=">= 0"):
-        resolve_max_restarts()
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "two")
-    with pytest.raises(ParallelEngineError, match="integer"):
-        resolve_max_restarts()
-
-
-def test_resolve_shard_deadline(monkeypatch):
-    assert resolve_shard_deadline() == 120.0
-    monkeypatch.setenv("REPRO_SHARD_DEADLINE", "2.5")
-    assert resolve_shard_deadline() == 2.5
-    monkeypatch.setenv("REPRO_SHARD_DEADLINE", "0")
-    with pytest.raises(ParallelEngineError, match="> 0"):
-        resolve_shard_deadline()
-    monkeypatch.setenv("REPRO_SHARD_DEADLINE", "soon")
-    with pytest.raises(ParallelEngineError, match="seconds"):
-        resolve_shard_deadline()
+def test_longest_accepted_deadline_is_pollable(baseline):
+    """The largest shard deadline the config accepts still fits
+    poll(2)'s int-millisecond timeout on the pipe transport."""
+    digest, events = baseline
+    with install(current().replace(shard_deadline=MAX_WAIT_S)):
+        r = _run(shards=4, transport="pipe")
+    assert r.runtime.supervision["restarts"] == 0
+    assert _digest(r) == digest
+    assert r.events == events

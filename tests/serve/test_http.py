@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.config import current, install
 from repro.serve import (
     Backpressure,
     ServeApp,
@@ -186,3 +187,18 @@ class TestBackpressureBurst:
 
         reopened = ResultStore(tmp_path / "store")
         assert len(reopened) == len(jobs)
+
+
+def test_metrics_report_the_installed_config(tmp_path):
+    cfg = current().replace(shards=2, jobs=3, shard_deadline=45.0)
+    with install(cfg):
+        app = ServeApp(tmp_path / "store", workers=1, max_queue=4)
+    srv = ServerThread(app).start()
+    try:
+        engine = ServeClient(srv.host, srv.port).metrics()["engine"]
+    finally:
+        srv.stop()
+    assert (engine["shards"], engine["jobs"], engine["shard_deadline"]) \
+        == (2, 3, 45.0)
+    assert (engine["eventq"], engine["mode"], engine["transport"]) \
+        == (cfg.eventq, cfg.engine, cfg.transport)

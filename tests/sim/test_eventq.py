@@ -18,16 +18,15 @@ import math
 import pytest
 
 import repro.sim.eventq as eventq_mod
+from repro.config import EVENTQ_CHOICES, ConfigError, current, install
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.eventq import (
-    EVENTQ_CHOICES,
     AutoSimulator,
     CalendarSimulator,
     CompiledSimulator,
     compiled_available,
     eventq_name,
     make_simulator,
-    resolve_eventq,
 )
 
 IMPLS = [Simulator, CalendarSimulator, AutoSimulator]
@@ -253,27 +252,16 @@ def test_long_rung_trims_consumed_prefix():
 
 
 # ---------------------------------------------------------------------------
-# Selection: resolve_eventq / make_simulator / auto commitment
+# Selection: make_simulator / auto commitment
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_default_is_auto(monkeypatch):
-    monkeypatch.delenv("REPRO_EVENTQ", raising=False)
-    assert resolve_eventq() == "auto"
-
-
-def test_resolve_env_and_flag_precedence(monkeypatch):
-    monkeypatch.setenv("REPRO_EVENTQ", "calendar")
-    assert resolve_eventq() == "calendar"
-    assert resolve_eventq("heap") == "heap"  # explicit arg wins
-
-
-def test_resolve_rejects_unknown(monkeypatch):
-    with pytest.raises(SimulationError, match="unknown event queue"):
-        resolve_eventq("splay")
-    monkeypatch.setenv("REPRO_EVENTQ", "nope")
-    with pytest.raises(SimulationError, match="unknown event queue"):
-        resolve_eventq()
+def test_make_simulator_follows_config():
+    with install(current().replace(eventq="calendar")):
+        assert type(make_simulator()) is CalendarSimulator
+        assert type(make_simulator("heap")) is Simulator  # explicit wins
+    with pytest.raises(ConfigError, match="eventq must be one of"):
+        make_simulator("splay")
 
 
 def test_make_simulator_types(monkeypatch):

@@ -21,7 +21,6 @@ from repro.sim.parallel import (
     ParallelEngineError,
     _encode_args,
     encode_record,
-    resolve_shards,
 )
 
 # ---------------------------------------------------------------------------
@@ -63,36 +62,6 @@ def test_shard_nodes_rejects_bad_counts():
         shard_nodes(topo, 0)
     with pytest.raises(TopologyError):
         shard_nodes(topo, 5)
-
-
-# ---------------------------------------------------------------------------
-# Shard-count resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_shards_default_is_none(monkeypatch):
-    monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    assert resolve_shards() is None
-
-
-def test_resolve_shards_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "8")
-    assert resolve_shards(2) == 2
-    with pytest.raises(ParallelEngineError, match="at least 1"):
-        resolve_shards(0)
-
-
-def test_resolve_shards_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "4")
-    assert resolve_shards() == 4
-    monkeypatch.setenv("REPRO_SHARDS", "  ")
-    assert resolve_shards() is None
-
-
-def test_resolve_shards_env_junk_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARDS", "many")
-    with pytest.raises(ParallelEngineError):
-        resolve_shards()
 
 
 # ---------------------------------------------------------------------------

@@ -29,14 +29,9 @@ import pytest
 
 from repro.faults import ProcFaultPlan
 from repro.network.params import ABE, SURVEYOR
+from repro.resilience import supervisor
 from repro.sim import shm
-from repro.sim.shm import (
-    TornFrameError,
-    TransportError,
-    channel_pair,
-    resolve_ring_bytes,
-    resolve_transport,
-)
+from repro.sim.shm import TornFrameError, TransportError, channel_pair
 
 CTX = mp.get_context("fork")
 
@@ -47,49 +42,6 @@ def _shm_pair(tag):
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution (flag > env > default)
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_transport_default_is_pipe():
-    assert resolve_transport() == "pipe"
-    assert resolve_transport(None) == "pipe"
-
-
-def test_resolve_transport_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT", "pipe")
-    assert resolve_transport("shm") == "shm"
-    assert resolve_transport("  SHM ") == "shm"
-
-
-def test_resolve_transport_env(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT", "shm")
-    assert resolve_transport() == "shm"
-    monkeypatch.setenv("REPRO_TRANSPORT", "carrier-pigeon")
-    with pytest.raises(TransportError, match="REPRO_TRANSPORT"):
-        resolve_transport()
-
-
-def test_resolve_transport_junk_argument():
-    with pytest.raises(TransportError, match="transport must be"):
-        resolve_transport("udp")
-
-
-def test_resolve_ring_bytes(monkeypatch):
-    assert resolve_ring_bytes() == shm._DEFAULT_RING
-    monkeypatch.setenv("REPRO_SHM_RING", "8192")
-    assert resolve_ring_bytes() == 8192
-    monkeypatch.setenv("REPRO_SHM_RING", "8193")  # rounded up to 8
-    assert resolve_ring_bytes() == 8200
-    monkeypatch.setenv("REPRO_SHM_RING", "12")
-    with pytest.raises(TransportError, match="at least"):
-        resolve_ring_bytes()
-    monkeypatch.setenv("REPRO_SHM_RING", "lots")
-    with pytest.raises(TransportError, match="integer"):
-        resolve_ring_bytes()
-
-
-# ---------------------------------------------------------------------------
 # Ring mechanics
 # ---------------------------------------------------------------------------
 
@@ -97,7 +49,7 @@ def test_resolve_ring_bytes(monkeypatch):
 def test_ring_wraps_losslessly(monkeypatch):
     """Many varied-size frames through a tiny ring force repeated
     wrap-arounds; every payload must come back bit-exact, in order."""
-    monkeypatch.setenv("REPRO_SHM_RING", "4096")
+    monkeypatch.setattr(shm, "RING_BYTES", 4096)
     parent, child = _shm_pair("wrap")
     try:
         rng = np.random.default_rng(0xC5)
@@ -188,7 +140,7 @@ def test_over_half_ring_payload_spills_not_deadlocks(monkeypatch):
     """A payload past half the ring takes the spill path — in-ring it
     could find the ring fully drained and still never fit once a wrap
     is needed — and the ring path stays healthy around it."""
-    monkeypatch.setenv("REPRO_SHM_RING", "4096")
+    monkeypatch.setattr(shm, "RING_BYTES", 4096)
     parent, child = _shm_pair("half")
     try:
         big = b"y" * 2080  # pickles past half the 4 KiB ring
@@ -239,7 +191,7 @@ def test_poll_wakes_on_peer_death_mid_timeout():
 def test_oversized_payload_spills(monkeypatch):
     """A payload larger than the ring travels through a one-shot
     spill segment and the segment is gone after the read."""
-    monkeypatch.setenv("REPRO_SHM_RING", "4096")
+    monkeypatch.setattr(shm, "RING_BYTES", 4096)
     parent, child = _shm_pair("spill")
     try:
         blob = bytes(range(256)) * 48  # 12 KiB > 4 KiB ring
@@ -417,7 +369,7 @@ def test_budget_exhausted_degrade_over_shm(serial_baseline, monkeypatch):
     """Zero restart budget + a killed shard: the run degrades to the
     serial engine, still bit-identical, and every segment of the
     abandoned parallel attempt is unlinked."""
-    monkeypatch.setenv("REPRO_MAX_SHARD_RESTARTS", "0")
+    monkeypatch.setattr(supervisor, "MAX_RESTARTS", 0)
     state0, events0, _ = serial_baseline["stencil"]
     r, state = _stencil(shards=4, transport="shm",
                         proc_faults=ProcFaultPlan.named("kill-shard"))

@@ -16,72 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.charm import Runtime
+from repro.config import ENGINE_CHOICES
 from repro.network.params import ABE, SURVEYOR
+from repro.sim import timewarp
 from repro.sim.parallel import ParallelEngineError
-from repro.sim.timewarp import (
-    ENGINE_CHOICES,
-    STAT_KEYS,
-    ShardCheckpoint,
-    _resolve_cp_events,
-    _resolve_horizon,
-    resolve_engine,
-)
-
-# ---------------------------------------------------------------------------
-# Engine-mode resolution
-# ---------------------------------------------------------------------------
-
-
-def test_resolve_engine_default(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
-    assert resolve_engine() == "conservative"
-
-
-def test_resolve_engine_argument_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "conservative")
-    assert resolve_engine("optimistic") == "optimistic"
-    assert resolve_engine("  Optimistic ") == "optimistic"
-
-
-def test_resolve_engine_env(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "optimistic")
-    assert resolve_engine() == "optimistic"
-    monkeypatch.setenv("REPRO_ENGINE", "  ")
-    assert resolve_engine() == "conservative"
-
-
-def test_resolve_engine_junk_raises(monkeypatch):
-    with pytest.raises(ParallelEngineError, match="engine must be one of"):
-        resolve_engine("timewarp")
-    monkeypatch.setenv("REPRO_ENGINE", "speculative")
-    with pytest.raises(ParallelEngineError, match="REPRO_ENGINE"):
-        resolve_engine()
+from repro.sim.timewarp import STAT_KEYS, ShardCheckpoint
 
 
 def test_engine_choices_are_stable():
     assert ENGINE_CHOICES == ("conservative", "optimistic")
-
-
-def test_resolve_horizon_and_cp_events(monkeypatch):
-    monkeypatch.delenv("REPRO_TW_HORIZON", raising=False)
-    monkeypatch.delenv("REPRO_TW_CPEVENTS", raising=False)
-    assert _resolve_horizon() is None
-    assert _resolve_cp_events() == 50_000
-    monkeypatch.setenv("REPRO_TW_HORIZON", "4")
-    monkeypatch.setenv("REPRO_TW_CPEVENTS", "200")
-    assert _resolve_horizon() == 4
-    assert _resolve_cp_events() == 200
-    monkeypatch.setenv("REPRO_TW_HORIZON", "MAX")
-    assert _resolve_horizon() == float("inf")
-    for var, fn in (("REPRO_TW_HORIZON", _resolve_horizon),
-                    ("REPRO_TW_CPEVENTS", _resolve_cp_events)):
-        monkeypatch.setenv(var, "0")
-        with pytest.raises(ParallelEngineError, match="at least 1"):
-            fn()
-        monkeypatch.setenv(var, "lots")
-        with pytest.raises(ParallelEngineError, match="positive integer"):
-            fn()
-        monkeypatch.delenv(var)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +65,7 @@ def test_stencil_optimistic_four_shards_on_torus_with_rollbacks(monkeypatch):
     # and hence rollbacks and anti-messages — certain: speculation must
     # be exercised, not just tolerated, and repair must still end
     # bit-identical.
-    monkeypatch.setenv("REPRO_TW_HORIZON", "max")
+    monkeypatch.setattr(timewarp, "HORIZON", float("inf"))
     one, one_grid = _stencil(1, machine=SURVEYOR)
     four, four_grid = _stencil(4, engine="optimistic", machine=SURVEYOR)
     assert four.iter_times == one.iter_times
@@ -141,7 +84,7 @@ def test_stencil_optimistic_anti_messages_fire(monkeypatch):
     # be cancelled via anti-messages, and received ones dead-marked.
     # Unbounded speculation makes the divergence certain (the adaptive
     # default may avoid it entirely — that is its job).
-    monkeypatch.setenv("REPRO_TW_HORIZON", "max")
+    monkeypatch.setattr(timewarp, "HORIZON", float("inf"))
     four, _ = _stencil(4, engine="optimistic", machine=SURVEYOR)
     stats = four.runtime.timewarp_stats
     assert stats["antis"] >= 1
@@ -163,11 +106,11 @@ def test_stencil_optimistic_bit_identical_per_eventq(eventq, monkeypatch):
 
 def test_stencil_optimistic_horizon_and_cadence_knobs(monkeypatch):
     one, one_grid = _stencil(1, machine=SURVEYOR)
-    monkeypatch.setenv("REPRO_TW_HORIZON", "4")
+    monkeypatch.setattr(timewarp, "HORIZON", 4.0)
     bounded, bounded_grid = _stencil(4, engine="optimistic",
                                      machine=SURVEYOR)
-    monkeypatch.delenv("REPRO_TW_HORIZON")
-    monkeypatch.setenv("REPRO_TW_CPEVENTS", "200")
+    monkeypatch.setattr(timewarp, "HORIZON", None)
+    monkeypatch.setattr(timewarp, "CP_EVENTS", 200)
     fine, fine_grid = _stencil(4, engine="optimistic", machine=SURVEYOR)
     assert bounded.events == one.events
     assert bounded.iter_times == one.iter_times

@@ -11,18 +11,16 @@ import time
 
 import pytest
 
+from repro.config import ConfigError
 from repro.projections.eventlog import EventLog, tracing
 from repro.sweep import (
     RunSpec,
-    SweepError,
     SweepRunner,
     execute_spec,
     register_point,
-    resolve_jobs,
     run_sweep,
     stats,
 )
-from repro.sweep.runner import DEFAULT_TIMEOUT, resolve_timeout
 
 
 @register_point("t-echo")
@@ -74,60 +72,13 @@ def _clear_stats():
     stats.RECORDS.clear()
 
 
-class TestResolveJobs:
-    """resolve_jobs, plus the per-point resolve_timeout that shares its
-    flag > env > default precedence and its validation."""
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        assert resolve_jobs(3) == 3
-        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "8")
-        assert resolve_timeout(2.5) == 2.5
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "6")
-        assert resolve_jobs() == 6
-        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "1.5")
-        assert resolve_timeout() == 1.5
-
-    def test_default_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
-        monkeypatch.delenv("REPRO_SWEEP_TIMEOUT", raising=False)
-        assert resolve_timeout() == DEFAULT_TIMEOUT
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(SweepError, match="REPRO_JOBS must be a positive integer"):
-            resolve_jobs()
-        monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", "ten minutes")
-        with pytest.raises(SweepError, match="REPRO_SWEEP_TIMEOUT must be a number"):
-            resolve_timeout()
-        for junk in ("nan", "inf"):
-            monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", junk)
-            with pytest.raises(SweepError, match="finite and > 0"):
-                resolve_timeout()
-
-    def test_env_below_one_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(SweepError, match="at least 1"):
-            resolve_jobs()
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.raises(SweepError, match="at least 1"):
-            resolve_jobs()
-        for val in ("0", "-5"):
-            monkeypatch.setenv("REPRO_SWEEP_TIMEOUT", val)
-            with pytest.raises(SweepError, match="REPRO_SWEEP_TIMEOUT must be finite and > 0"):
-                resolve_timeout()
-
-    def test_explicit_below_one_rejected(self):
-        with pytest.raises(SweepError, match="at least 1"):
-            resolve_jobs(0)
-        with pytest.raises(SweepError, match="at least 1"):
-            resolve_jobs(-4)
-        for val in (0, -5, float("nan")):
-            with pytest.raises(SweepError, match="timeout must be finite and > 0"):
-                SweepRunner(timeout=val)
+def test_explicit_knobs_use_config_validation():
+    for kw in ({"jobs": 0}, {"jobs": 2.7}, {"timeout": 0},
+               {"timeout": float("nan")}):
+        with pytest.raises(ConfigError):
+            SweepRunner(**kw)
+    runner = SweepRunner(jobs=3, timeout=2.5)
+    assert (runner.config.jobs, runner.timeout) == (3, 2.5)
 
 
 class TestExecuteSpec:
