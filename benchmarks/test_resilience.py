@@ -10,7 +10,7 @@ paper's full-scale stencil point (1024 PEs, 4 shards):
   (Heartbeats need no separate claim: they are the barrier messages
   the engine exchanges anyway.)
 * **Recovery works at scale and its cost is bounded** — SIGKILL-ing
-  one shard worker mid-run (both engines) restarts + replays that
+  one shard worker mid-run restarts + replays that
   shard and finishes with output identical to the serial baseline;
   the wall-clock premium over a clean run is reported (the replayed
   shard re-executes its whole window stream, so the premium is
@@ -41,10 +41,10 @@ ROUNDS = 4  # best-of
 OVERHEAD_BAR = 3.0  # percent
 
 
-def _run(shards=SHARDS, engine=None, proc_faults=None):
+def _run(shards=SHARDS, proc_faults=None):
     return run_stencil(ABE, PES, iterations=ITERATIONS, mode="ckd",
-                       shards=shards, engine=engine,
-                       proc_faults=proc_faults, keep_runtime=True)
+                       shards=shards, proc_faults=proc_faults,
+                       keep_runtime=True)
 
 
 def _fingerprint(r) -> str:
@@ -132,7 +132,7 @@ def test_clean_path_overhead_under_three_percent(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Recovery cost: kill-shard vs clean at 4 shards, both engines
+# Recovery cost: kill-shard vs clean at 4 shards
 # ---------------------------------------------------------------------------
 
 
@@ -140,58 +140,47 @@ def test_recovery_cost_kill_shard_full_scale():
     serial = _run(shards=1)
     reference = _fingerprint(serial)
 
-    rows = []
-    for engine in (None, "optimistic"):
-        label = engine or "conservative"
-        t0 = time.perf_counter()
-        clean = _run(engine=engine)
-        clean_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    clean = _run()
+    clean_wall = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        killed = _run(engine=engine,
-                      proc_faults=ProcFaultPlan.named("kill-shard"))
-        killed_wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    killed = _run(proc_faults=ProcFaultPlan.named("kill-shard"))
+    killed_wall = time.perf_counter() - t0
 
-        sup = killed.runtime.supervision
-        assert sup["restarts"] == 1 and sup["crashes"] == 1, (
-            f"{label}: expected exactly one supervised restart, got {sup}"
-        )
-        assert not sup["degraded"]
-        # The acceptance bar: recovery is invisible in the output.
-        assert _fingerprint(clean) == reference, f"{label} clean diverged"
-        assert _fingerprint(killed) == reference, (
-            f"{label}: recovered run is not identical to the serial baseline"
-        )
-        rows.append({
-            "engine": label,
-            "clean_wall_s": round(clean_wall, 3),
-            "killed_wall_s": round(killed_wall, 3),
-            "recovery_premium_pct": round(
-                (killed_wall - clean_wall) / clean_wall * 100.0, 1),
-            "restarts": sup["restarts"],
-        })
+    sup = killed.runtime.supervision
+    assert sup["restarts"] == 1 and sup["crashes"] == 1, (
+        f"expected exactly one supervised restart, got {sup}"
+    )
+    assert not sup["degraded"]
+    # The acceptance bar: recovery is invisible in the output.
+    assert _fingerprint(clean) == reference, "clean run diverged"
+    assert _fingerprint(killed) == reference, (
+        "recovered run is not identical to the serial baseline"
+    )
+    row = {
+        "clean_wall_s": round(clean_wall, 3),
+        "killed_wall_s": round(killed_wall, 3),
+        "recovery_premium_pct": round(
+            (killed_wall - clean_wall) / clean_wall * 100.0, 1),
+        "restarts": sup["restarts"],
+    }
 
     lines = [
         f"Recovery cost: SIGKILL one of {SHARDS} shards, stencil ckd "
         f"{PES} PEs full-scale (host cores: {os.cpu_count()})",
         "=" * 66,
-        f"{'engine':>12}  {'clean s':>8}  {'killed s':>9}  "
-        f"{'premium':>8}  {'restarts':>8}",
+        f"{'clean s':>8}  {'killed s':>9}  {'premium':>8}  {'restarts':>8}",
+        f"{row['clean_wall_s']:>8.3f}  {row['killed_wall_s']:>9.3f}  "
+        f"{row['recovery_premium_pct']:>+7.1f}%  {row['restarts']:>8}",
+        "output identical to the 1-shard serial baseline",
     ]
-    for row in rows:
-        lines.append(
-            f"{row['engine']:>12}  {row['clean_wall_s']:>8.3f}  "
-            f"{row['killed_wall_s']:>9.3f}  "
-            f"{row['recovery_premium_pct']:>+7.1f}%  {row['restarts']:>8}"
-        )
-    lines.append("output identical to the 1-shard serial baseline "
-                 "in every cell")
     save_report("resilience_recovery", "\n".join(lines))
-    record_stage("resilience_recovery", rows)
+    record_stage("resilience_recovery", [row])
     _append_entry({
         "kind": "resilience_recovery",
         "point": f"stencil ckd {PES} PEs full-scale, {ITERATIONS} iters, "
                  f"{SHARDS} shards, kill-shard",
         "cpu_count": os.cpu_count(),
-        "rows": rows,
+        "rows": [row],
     })

@@ -1,9 +1,9 @@
 """Microbenchmark: per-window shard-transport cost, pipe vs shm.
 
-The sharded engines move one frame per shard per conservative window
-(or per GVT round), so the transport's per-window cost is pure
-overhead on the critical path — the sharded run does nothing else
-while a window frame is in flight.  This benchmark pins the
+The sharded engine moves one frame per shard per epoch window, so
+the transport's per-window cost is pure overhead on the critical
+path — the sharded run does nothing else while a window frame is in
+flight.  This benchmark pins the
 shared-memory ring transport against the pickle-over-pipe reference
 on that exact unit of work:
 

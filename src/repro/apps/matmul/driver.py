@@ -63,7 +63,6 @@ def run_matmul(
     faults: Optional[str] = None,
     fault_seed: int = 0x0FA11,
     shards: Optional[int] = None,
-    engine: Optional[str] = None,
     transport: Optional[str] = None,
 ) -> MatMulResult:
     """One matmul run on ``n_pes`` PEs with a ``c^3`` chare grid.
@@ -82,7 +81,7 @@ def run_matmul(
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
                  shards=current().shards if shards is None else shards,
-                 engine=engine, transport=transport)
+                 transport=transport)
     monitor = IterationMonitor(rt, None, iterations)
     arr = rt.create_array(
         cls,

@@ -49,8 +49,8 @@ class OpenAtomMonitor:
         self.pc_proxy = None
         self.barriers_seen = 0
         self.marks: List[float] = []
-        # Host callbacks mutate this object; the optimistic engine
-        # must checkpoint it alongside chare state.
+        # Host callbacks mutate this object on shard 0 of a sharded
+        # run; registering it ships its data home with the run.
         rt.register_host_state(self)
 
     def on_barrier(self, _value=None) -> None:
@@ -99,7 +99,6 @@ def run_openatom(
     faults: Optional[str] = None,
     fault_seed: int = 0x0FA11,
     shards: Optional[int] = None,
-    engine: Optional[str] = None,
     transport: Optional[str] = None,
     **cfg_overrides,
 ) -> OpenAtomResult:
@@ -121,7 +120,7 @@ def run_openatom(
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
                  shards=current().shards if shards is None else shards,
-                 engine=engine, transport=transport)
+                 transport=transport)
     monitor = OpenAtomMonitor(rt, cfg.iterations)
     gs = rt.create_array(
         gs_cls, dims=(cfg.nstates, cfg.nplanes), ctor_args=(cfg, monitor)

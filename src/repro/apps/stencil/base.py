@@ -55,8 +55,8 @@ class IterationMonitor:
         self.iterations = iterations
         self.barriers_seen = 0
         self.marks: List[float] = []
-        # Host callbacks mutate this object; the optimistic engine
-        # must checkpoint it alongside chare state.
+        # Host callbacks mutate this object on shard 0 of a sharded
+        # run; registering it ships its data home with the run.
         rt.register_host_state(self)
 
     def on_barrier(self, _value=None) -> None:
@@ -78,17 +78,6 @@ class IterationMonitor:
 
 class JacobiBase(Chare):
     """Common state: geometry, buffers, compute, barrier discipline."""
-
-    #: Reduced state saving (see Chare.tw_static).  Geometry, wiring,
-    #: and runtime refs are construction-time constants; ``send_bufs``
-    #: is a fixed dict of staging buffers whose *contents* are covered
-    #: twice over — every CkDirect handle snapshots its associated
-    #: source buffer, and ``resume`` fully repacks a face before each
-    #: put, so no reader ever sees pre-rollback bytes.
-    tw_static = frozenset({
-        "rt", "_array", "_pe", "thisIndex", "spec", "iterations",
-        "validate", "monitor", "neighbors", "send_bufs",
-    })
 
     def __init__(
         self,

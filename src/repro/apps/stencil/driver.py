@@ -65,7 +65,6 @@ def run_stencil(
     faults: Optional[str] = None,
     fault_seed: int = 0x0FA11,
     shards: Optional[int] = None,
-    engine: Optional[str] = None,
     proc_faults: Optional["ProcFaultPlan"] = None,
     transport: Optional[str] = None,
 ) -> StencilResult:
@@ -77,9 +76,6 @@ def run_stencil(
 
     ``shards`` (default: the configured count) selects the sharded
     parallel engine — bit-identical results, partitioned wall-clock work.
-    ``engine`` (default: the configured mode) picks its synchronization
-    mode: ``conservative`` epoch windows or ``optimistic`` Time Warp
-    speculation with rollback.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {sorted(MODES)}, got {mode!r}")
@@ -89,7 +85,7 @@ def run_stencil(
     plan = FaultPlan.named(faults, fault_seed) if faults is not None else None
     rt = Runtime(machine, n_pes, fault_plan=plan,
                  shards=current().shards if shards is None else shards,
-                 engine=engine, proc_faults=proc_faults, transport=transport)
+                 proc_faults=proc_faults, transport=transport)
     monitor_box: list = []
 
     # The monitor needs the proxy, the array ctor needs the monitor:

@@ -301,11 +301,7 @@ _PROC_EXPECT: Dict[str, Tuple[int, int]] = {
     "slow-worker": (0, 0),
 }
 
-#: Engines each worker profile is exercised under.
-_PROC_ENGINES: Tuple[str, ...] = ("conservative", "optimistic")
-
-
-def _proc_worker_row(profile: str, engine: str, shards: int,
+def _proc_worker_row(profile: str, shards: int,
                      clean: Dict[str, Any]) -> Dict[str, Any]:
     """One supervised faulted run vs the clean serial baseline."""
     from ..apps.stencil.driver import gather_grid, run_stencil
@@ -314,7 +310,7 @@ def _proc_worker_row(profile: str, engine: str, shards: int,
 
     r = run_stencil(
         MACHINES[CHAOS_MACHINE], CHAOS_PES, mode="ckd", validate=True,
-        keep_runtime=True, shards=shards, engine=engine,
+        keep_runtime=True, shards=shards,
         proc_faults=ProcFaultPlan.named(profile),
         **CHAOS_CONFIGS["stencil"],
     )
@@ -323,7 +319,6 @@ def _proc_worker_row(profile: str, engine: str, shards: int,
     restarts = sup.get("restarts", 0)
     return {
         "profile": profile,
-        "engine": engine,
         "restarts": restarts,
         "crashes": sup.get("crashes", 0),
         "hangs": sup.get("hangs", 0),
@@ -365,7 +360,6 @@ def _corrupt_object_row(fault_seed: int) -> Dict[str, Any]:
         bit_identical = served == payload and repayload == payload
     return {
         "profile": "corrupt-object",
-        "engine": "store",
         "restarts": 0,
         "crashes": 0,
         "hangs": 0,
@@ -410,8 +404,7 @@ def run_proc_chaos(
             if prof == "corrupt-object":
                 rows.append(_corrupt_object_row(fault_seed))
                 continue
-            for engine in _PROC_ENGINES:
-                rows.append(_proc_worker_row(prof, engine, shards, clean))
+            rows.append(_proc_worker_row(prof, shards, clean))
 
     ok = all(r["recovered"] and r["bit_identical"] for r in rows)
     return {"ok": ok, "rows": rows,
@@ -422,12 +415,12 @@ def _render_proc(rows: List[Dict[str, Any]], ok: bool, shards: int) -> str:
     title = (f"Process chaos: shard supervision + self-healing store "
              f"({CHAOS_MACHINE}, {CHAOS_PES} PEs, stencil, "
              f"{shards} shards)")
-    cols = ["profile", "engine", "restarts", "crashes", "hangs",
+    cols = ["profile", "restarts", "crashes", "hangs",
             "degraded", "recovered", "bit-id"]
     table: List[List[str]] = [cols]
     for r in rows:
         table.append([
-            r["profile"], r["engine"], str(r["restarts"]),
+            r["profile"], str(r["restarts"]),
             str(r["crashes"]), str(r["hangs"]),
             "yes" if r["degraded"] else "no",
             "yes" if r["recovered"] else "NO",

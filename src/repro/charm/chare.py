@@ -16,12 +16,8 @@ Inside an entry method the chare may:
 
 from __future__ import annotations
 
-import copy
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
-import numpy as np
-
-from ..util.buffers import Buffer
 from .callback import CkCallback
 from .errors import ContextError
 
@@ -31,132 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
 
 
-#: Immutable built-ins that snapshot as bare references.
-_SNAP_ATOMS = frozenset(
-    {int, float, bool, str, bytes, complex, frozenset, type(None)}
-)
-
-#: type -> snapshot tag, filled lazily by _snap_kind.  One dict lookup
-#: replaces the isinstance chain for every value after the first of its
-#: type — this function runs ~70 times per chare per Time Warp
-#: checkpoint, so the fast path carries the capture cost.
-_SNAP_KINDS: dict = {}
-
-
-def _snap_kind(t: type) -> str:
-    """Classify a type once (isinstance semantics, cached by type)."""
-    if t in _SNAP_ATOMS:
-        kind = "ref"
-    elif issubclass(t, np.ndarray):
-        kind = "nd"
-    elif issubclass(t, Buffer):
-        kind = "buf"
-    elif issubclass(t, np.random.Generator):
-        kind = "rng"
-    elif issubclass(t, list):
-        kind = "list"
-    elif issubclass(t, dict):
-        kind = "dict"
-    elif issubclass(t, set):
-        kind = "set"
-    elif issubclass(t, tuple):
-        kind = "tuple"
-    else:
-        kind = "ref"
-    _SNAP_KINDS[t] = kind
-    return kind
-
-
-def _snap_value(v: Any) -> tuple:
-    """Identity-preserving value snapshot: ``(tag, obj_ref, content)``.
-
-    The original object is kept by reference and its *content* copied,
-    so a restore writes the old bytes back **into the same object** —
-    pending event closures captured the object, not its value, and must
-    observe the rolled-back state.  Unrecognized types snapshot as bare
-    references: runtime-owned objects (handles, PEs, chares, events)
-    are checkpointed by their owning layer.
-    """
-    atoms = _SNAP_ATOMS
-    t = type(v)
-    kind = _SNAP_KINDS.get(t)
-    if kind is None:
-        kind = _snap_kind(t)
-    if kind == "ref":
-        return ("ref", v, None)
-    # Atom elements skip the recursive call entirely — containers are
-    # mostly scalars, so the inline test carries the capture cost.
-    if kind == "list":
-        return ("list", v, [
-            ("ref", x, None) if type(x) in atoms else _snap_value(x)
-            for x in v
-        ])
-    if kind == "dict":
-        return ("dict", v, [
-            (k, ("ref", x, None) if type(x) in atoms else _snap_value(x))
-            for k, x in v.items()
-        ])
-    if kind == "tuple":
-        # A tuple of atoms is immutable all the way down — no copy.
-        for x in v:
-            if type(x) not in atoms:
-                break
-        else:
-            return ("ref", v, None)
-        return ("tuple", v, [
-            ("ref", x, None) if type(x) in atoms else _snap_value(x)
-            for x in v
-        ])
-    if kind == "set":
-        return ("set", v, set(v))
-    if kind == "nd":
-        return ("nd", v, v.copy())
-    if kind == "buf":
-        return ("buf", v, None if v.is_virtual else v.array.copy())
-    return ("rng", v, copy.deepcopy(v.bit_generator.state))
-
-
-def _restore_value(snap: tuple) -> Any:
-    tag, obj, content = snap
-    if tag == "nd":
-        np.copyto(obj, content)
-    elif tag == "buf":
-        if content is not None:
-            obj.array[...] = content
-    elif tag == "rng":
-        obj.bit_generator.state = copy.deepcopy(content)
-    elif tag == "list":
-        obj[:] = [_restore_value(s) for s in content]
-    elif tag == "dict":
-        obj.clear()
-        for k, s in content:
-            obj[k] = _restore_value(s)
-    elif tag == "set":
-        obj.clear()
-        obj.update(content)
-    elif tag == "tuple":
-        for s in content:
-            _restore_value(s)
-    return obj
-
-
 class Chare:
     """Base class for message-driven objects."""
 
     # Bound by the runtime in _bind(); declared for introspection.
     rt: "Runtime"
     thisIndex: Tuple[int, ...]
-
-    #: Attribute names excluded from Time Warp snapshots — the classic
-    #: "reduced state saving" optimization.  A subclass may list
-    #: attributes here when either (a) the attribute is never rebound
-    #: and its referenced content never mutates after construction
-    #: (geometry, wiring tables, runtime refs), or (b) every reader is
-    #: preceded by a full overwrite in the same timeline (packed
-    #: staging buffers).  Checkpoints skip them and restore leaves
-    #: them untouched; a wrong entry silently breaks rollback
-    #: bit-identity, so only provably safe names belong here.
-    tw_static: frozenset = frozenset()
 
     def _bind(
         self, rt: "Runtime", array: "ChareArray", index: Tuple[int, ...], pe: "PE"
@@ -269,39 +145,6 @@ class Chare:
         """Install a :meth:`shard_state` payload on the parent's copy."""
         for name, value in state.items():
             setattr(self, name, value)
-
-    # ------------------------------------------------------------------
-    # Time Warp checkpoint/restore (see repro.sim.timewarp)
-    # ------------------------------------------------------------------
-
-    def tw_checkpoint(self) -> list:
-        """Snapshot every non-static instance attribute (insertion
-        order)."""
-        atoms = _SNAP_ATOMS
-        static = self.tw_static
-        if static:
-            return [
-                (name, ("ref", v, None) if type(v) in atoms
-                 else _snap_value(v))
-                for name, v in self.__dict__.items() if name not in static
-            ]
-        return [
-            (name, ("ref", v, None) if type(v) in atoms else _snap_value(v))
-            for name, v in self.__dict__.items()
-        ]
-
-    def tw_restore(self, snap: list) -> None:
-        """Write checkpointed contents back into the original objects
-        and drop attributes the speculative future added."""
-        names = set()
-        for name, s in snap:
-            names.add(name)
-            self.__dict__[name] = _restore_value(s)
-        static = self.tw_static
-        for name in [
-            n for n in self.__dict__ if n not in names and n not in static
-        ]:
-            del self.__dict__[name]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         idx = getattr(self, "thisIndex", "?")

@@ -122,37 +122,6 @@ class PE(Entity):
         self.kick()
 
     # ------------------------------------------------------------------
-    # Time Warp checkpoint/restore (see repro.sim.timewarp)
-    # ------------------------------------------------------------------
-
-    def tw_checkpoint(self) -> tuple:
-        """Snapshot scheduler state.  Taken between events at an epoch
-        barrier, so ``_executing`` is always False and ``_cursor`` is
-        stale; ``_loop_scheduled`` is captured because a pending
-        ``_iterate`` wake lives in the checkpointed event queue."""
-        return (
-            self.queue.tw_checkpoint(),
-            self.internal_queue.tw_checkpoint(),
-            list(self.direct_q),
-            dict(self.pollq),
-            self.busy_until,
-            self.busy_time,
-            self._loop_scheduled,
-            self._cursor,
-        )
-
-    def tw_restore(self, snap: tuple) -> None:
-        (q, iq, direct, pollq, self.busy_until, self.busy_time,
-         self._loop_scheduled, self._cursor) = snap
-        self.queue.tw_restore(q)
-        self.internal_queue.tw_restore(iq)
-        self.direct_q.clear()
-        self.direct_q.extend(direct)
-        self.pollq.clear()
-        self.pollq.update(pollq)
-        self._executing = False
-
-    # ------------------------------------------------------------------
     # The scheduler loop
     # ------------------------------------------------------------------
 

@@ -83,45 +83,6 @@ class ReductionManager:
         self.rt = rt
         self._nodes: Dict[Tuple[int, int, int], _Node] = {}
 
-    # ------------------------------------------------------------------
-    # Time Warp checkpoint/restore (see repro.sim.timewarp)
-    # ------------------------------------------------------------------
-
-    def tw_checkpoint(self) -> dict:
-        """Snapshot per-node fields, keeping node objects by identity —
-        pending partial-delivery events may reference them."""
-        from .chare import _snap_value
-
-        return {
-            key: (
-                node,
-                node.local_got,
-                _snap_value(node.value),
-                node.have_value,
-                set(node.children_pending),
-                node.reducer,
-                node.callback,
-                node.closed,
-            )
-            for key, node in self._nodes.items()
-        }
-
-    def tw_restore(self, snap: dict) -> None:
-        from .chare import _restore_value
-
-        self._nodes.clear()
-        for key, (node, got, value, have, pending, reducer, cb, closed) in snap.items():
-            node.local_got = got
-            node.value = _restore_value(value)
-            node.have_value = have
-            node.children_pending = set(pending)
-            node.reducer = reducer
-            node.callback = cb
-            node.closed = closed
-            self._nodes[key] = node
-
-    # ------------------------------------------------------------------
-
     def _node(self, array: "ChareArray", seq: int, pe_rank: int) -> _Node:
         key = (array.id, seq, pe_rank)
         node = self._nodes.get(key)

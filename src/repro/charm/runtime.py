@@ -75,6 +75,11 @@ class Runtime:
     are unwrapped and the put path is the paper's fire-and-forget one.
     """
 
+    #: how the sharded engine (``--shards N``) synchronizes: epoch
+    #: windows of the fabric's lookahead, its only mode.  Run records
+    #: report it.
+    engine = "conservative"
+
     def __init__(
         self,
         machine: MachineParams,
@@ -84,24 +89,15 @@ class Runtime:
         fault_plan: Optional["FaultPlan"] = None,
         reliability: Optional["ReliabilityParams"] = None,
         shards: Optional[int] = None,
-        engine: Optional[str] = None,
         proc_faults: Optional["ProcFaultPlan"] = None,
         transport: Optional[str] = None,
     ) -> None:
         if n_pes <= 0:
             raise CharmError(f"n_pes must be positive, got {n_pes}")
         try:
-            cfg = current().replace(
-                shards=shards, engine=engine, transport=transport)
+            cfg = current().replace(shards=shards, transport=transport)
         except ConfigError as exc:
             raise CharmError(str(exc)) from None
-        #: parallel-engine mode: "conservative" (epoch windows) or
-        #: "optimistic" (Time Warp).  Explicit argument, else the run
-        #: configuration; only consulted when the sharded engine is
-        #: armed — fault/reliability runs fall back to the legacy
-        #: serial path regardless of the mode (same rule as the
-        #: conservative engine's fallback).
-        self.engine = cfg.engine
         #: shard IPC transport: "pipe" (Connection reference path) or
         #: "shm" (one-sided sentinel rings, see repro.sim.shm).
         #: Results are bit-identical either way — it only moves bytes.
@@ -158,35 +154,14 @@ class Runtime:
         self.shard_id = 0
         #: per-shard CPU seconds of the last sharded run (bench metric).
         self.shard_cpu_times: Optional[List[float]] = None
-        #: next CkDirect handle id.  Per-runtime (not module-global) so
-        #: the Time Warp engine can checkpoint it: a rolled-back replay
-        #: then re-creates handles under their original ids, keeping
-        #: regenerated cross-shard sends byte-identical.
+        #: next CkDirect handle id; per runtime, so ids (and default
+        #: channel names) do not depend on earlier runs in the process.
         self._next_hid = 1
         #: Host-side objects mutated by host callbacks (iteration
         #: monitors and the like), registered via register_host_state().
-        #: The Time Warp engine snapshots/restores their __dict__ along
-        #: with chare state so speculatively executed host callbacks
-        #: roll back cleanly; other engines ignore the registry.
-        self._tw_host_state: List[Any] = []
-        #: Under the optimistic engine: every CkDirectHandle this
-        #: process ever constructed, by object id (the constructor
-        #: registers itself).  Checkpoint capture snapshots this
-        #: registry directly instead of re-discovering handles by
-        #: walking every chare attribute — the walk costs ~1 s per
-        #: capture at 1024-PE scale and rediscovers the same handles
-        #: every time.  None under other engines (no registration, no
-        #: strong-ref growth).
-        self._tw_handles: Optional[Dict[int, Any]] = (
-            {} if self.engine == "optimistic" else None
-        )
-        #: rollback/GVT counters of the last optimistic run (dict), or
-        #: None when the last run used another engine.
-        self.timewarp_stats: Optional[Dict[str, int]] = None
-        #: synchronization rounds of the last sharded run (conservative
-        #: epoch windows or optimistic GVT rounds), or None when the
-        #: last run was serial.  The round count is the engine-mode
-        #: comparison metric: each round is one coordinator barrier.
+        self._host_state: List[Any] = []
+        #: epoch windows of the last sharded run, or None when the last
+        #: run was serial.  Each window is one coordinator barrier.
         self.parallel_rounds: Optional[int] = None
         #: process-scope chaos plan (``repro chaos --proc``): rules that
         #: SIGKILL/wedge/slow shard *workers* at epoch barriers.  Read
@@ -290,16 +265,16 @@ class Runtime:
     def register_host_state(self, obj: Any) -> None:
         """Declare a host-side object whose state host callbacks mutate.
 
-        Host callbacks (e.g. iteration monitors reacting to barriers)
-        run eagerly even under the optimistic engine, because they may
-        drive further progress (broadcasting the next iteration).  Any
-        object they mutate must be registered here so the Time Warp
-        checkpoints cover it; side effects outside registered objects
-        and the runtime cannot be rolled back.  Registration is cheap
-        and a no-op under the serial and conservative engines.
+        In a forked sharded run, host callbacks (e.g. iteration monitors
+        reacting to barriers) fire on shard 0, a child process, so they
+        mutate the child's copy.  Shard 0 ships the plain-data
+        attributes of every registered object home with its final
+        payload, and the parent's copy takes them over, so the caller
+        reads the same state as after a serial run.  A run that does
+        not fork never reads the registry.
         """
-        if not any(o is obj for o in self._tw_host_state):
-            self._tw_host_state.append(obj)
+        if not any(o is obj for o in self._host_state):
+            self._host_state.append(obj)
 
     def _alloc_hid(self) -> int:
         """Allocate the next CkDirect handle id."""
@@ -498,9 +473,6 @@ class Runtime:
         bounded runs (``until``/``max_events``) stay in-process.
         """
         if self.fabric._engine and until is None and max_events is None:
-            if self.engine == "optimistic":
-                from ..sim.timewarp import run_timewarp
-                return run_timewarp(self)
             from ..sim.parallel import run_sharded
             return run_sharded(self)
         if self._pending_host_sends or self._defer_host_sends:

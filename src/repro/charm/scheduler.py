@@ -65,24 +65,6 @@ class SchedulerQueue:
         """Mean queue depth observed at dequeue times."""
         return self.occupancy_sum / self.dequeues if self.dequeues else 0.0
 
-    # Time Warp checkpoint/restore (see repro.sim.timewarp).  Queued
-    # Message objects are captured by reference: their mutable fields
-    # (trace_eid) are trace-only and excluded from result identity.
-
-    def tw_checkpoint(self) -> tuple:
-        return (
-            list(self._q),
-            self.enqueued,
-            self.dequeues,
-            self.max_occupancy,
-            self.occupancy_sum,
-        )
-
-    def tw_restore(self, snap: tuple) -> None:
-        q, self.enqueued, self.dequeues, self.max_occupancy, self.occupancy_sum = snap
-        self._q.clear()
-        self._q.extend(q)
-
 
 class DirectItem:
     """A completion delivered around the scheduler (BG/P CkDirect path).

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional
 
-from ..charm.errors import PutMismatchError, PutRaceError
+from ..charm.errors import PutMismatchError
 from ..charm.scheduler import DirectItem
 from ..projections.events import CAT_CKDIRECT, CAT_FAULT
 from ..util.buffers import Buffer
@@ -256,22 +256,7 @@ def _discarded_cb() -> None:  # pragma: no cover - never scheduled
 def _complete(handle: CkDirectHandle) -> None:
     """Fabric delivery callback: land data + notify the receiver."""
     rt = handle.rt
-    try:
-        handle.deliver()
-    except PutRaceError:
-        if rt.engine != "optimistic" or not rt.fabric._engine:
-            raise
-        # Mis-speculation artifact of the Time Warp engine: the put
-        # landed into a timeline that diverged from the committed one
-        # (the receiver ran ahead of an in-flight arrival, or the
-        # sender's timeline is already dead), so the landing-contract
-        # state is not the committed state.  Either way a straggler or
-        # anti-message at or below this instant is guaranteed — the
-        # divergence was *caused* by such an arrival — and the rollback
-        # it forces erases this skip.  In the committed timeline the
-        # race check still fires normally.
-        rt.trace.count("timewarp_misspec_puts")
-        return
+    handle.deliver()
     tr = rt.tracer
     if tr is not None:
         handle.trace_eid = tr.instant(

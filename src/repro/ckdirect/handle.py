@@ -125,16 +125,7 @@ class CkDirectHandle:
         cbdata: Any = None,
         name: str = "",
     ) -> None:
-        # Handle ids come from the runtime so that a Time Warp rollback
-        # replays handle creation under the original ids (the module
-        # counter would drift forward, breaking replay bit-identity).
         self.hid = rt._alloc_hid()
-        if rt._tw_handles is not None:
-            # Optimistic engine: self-register so checkpoint capture
-            # can snapshot every live handle (including wire-codec
-            # proxies that never enter rt._handles) without walking
-            # chare attributes.
-            rt._tw_handles[id(self)] = self
         self.rt = rt
         self.recv_pe = recv_pe
         self.recv_buffer = recv_buffer
@@ -284,53 +275,6 @@ class CkDirectHandle:
             self.callback.invoke(self.rt, self.cbdata)
         else:
             self.callback(self.cbdata)
-
-    # ------------------------------------------------------------------
-    # Time Warp checkpoint/restore (see repro.sim.timewarp)
-    # ------------------------------------------------------------------
-
-    def tw_checkpoint(self) -> tuple:
-        """Snapshot every mutable slot (plus buffer contents).
-
-        Object-valued slots (callback, cbdata, src_pe, src_buffer,
-        rto_event) are captured by reference: replayed events re-assign
-        them to equal values, and the referenced objects are themselves
-        checkpointed by their owning layer.
-        """
-        recv = None
-        if not self.recv_buffer.is_virtual:
-            recv = self.recv_buffer.array.copy()
-        src = None
-        if self.src_buffer is not None and not self.src_buffer.is_virtual:
-            src = self.src_buffer.array.copy()
-        return (
-            self.state, self.arrived, self.sentinel_armed,
-            self.puts_completed, self.bytes_received,
-            self.put_seq, self.last_delivered_seq, self.acked_seq,
-            self.attempt, self.degraded, self.put_issue_time,
-            self.rto_event, self.watchdog_fired_seq,
-            self.torn_landed, self._torn_true_last,
-            self.src_pe, self.src_buffer, src,
-            self.callback, self.cbdata,
-            self.trace_put_eid, self.trace_eid,
-            recv,
-        )
-
-    def tw_restore(self, snap: tuple) -> None:
-        (self.state, self.arrived, self.sentinel_armed,
-         self.puts_completed, self.bytes_received,
-         self.put_seq, self.last_delivered_seq, self.acked_seq,
-         self.attempt, self.degraded, self.put_issue_time,
-         self.rto_event, self.watchdog_fired_seq,
-         self.torn_landed, self._torn_true_last,
-         self.src_pe, self.src_buffer, src,
-         self.callback, self.cbdata,
-         self.trace_put_eid, self.trace_eid,
-         recv) = snap
-        if recv is not None:
-            self.recv_buffer.array[...] = recv
-        if src is not None and self.src_buffer is not None:
-            self.src_buffer.array[...] = src
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,8 +18,8 @@ the Projections event log and written as Chrome trace-event JSON
 runtime, one thread per PE).
 
 Run-configuration flags (``--jobs``, ``--shards``, ``--eventq``,
-``--engine``, ``--transport``, ``--full-scale``) beat their ``REPRO_*``
-environment variables, which beat the defaults (see :mod:`repro.config`).
+``--transport``, ``--full-scale``) beat their ``REPRO_*`` environment
+variables, which beat the defaults (see :mod:`repro.config`).
 
 ``repro serve`` starts the async simulation job server (persistent
 content-addressed result cache + bounded SweepRunner pool) and
@@ -47,7 +47,6 @@ from .bench import (
     run_vr_ablation,
 )
 from .config import (
-    ENGINE_CHOICES,
     EVENTQ_CHOICES,
     TRANSPORT_CHOICES,
     ConfigError,
@@ -92,14 +91,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("artifact", choices=sorted(ARTIFACTS), help="what to run")
     p.add_argument("--machine", default="Surveyor", choices=sorted(MACHINES),
                    help="machine preset for fig3 / pingpong")
-    p.add_argument("--pes", type=int, nargs="+", default=None,
+    p.add_argument("--pes", type=count_arg, nargs="+", default=None,
                    help="PE counts for the figure sweeps")
-    p.add_argument("--size", type=int, default=30_000,
+    p.add_argument("--size", type=count_arg, default=30_000,
                    help="message size in bytes for `pingpong`")
     p.add_argument("--stack", default="ckdirect",
                    choices=["charm", "ckdirect", "mpi", "mpi-put"],
                    help="communication stack for `pingpong`")
-    p.add_argument("--iterations", type=int, default=None,
+    p.add_argument("--iterations", type=count_arg, default=None,
                    help="averaging iterations (default: 100 for "
                         "pingpong/tables, per-app for `profile`)")
     p.add_argument("--app", default="pingpong",
@@ -130,7 +129,8 @@ def _parser() -> argparse.ArgumentParser:
                         "processes with the conservative-lookahead "
                         "engine (default: $REPRO_SHARDS, else the "
                         "legacy serial engine; output is identical "
-                        "at any N)")
+                        "at any explicit N, but on Infiniband the "
+                        "serial default can differ from it)")
     p.add_argument("--eventq", default=None, metavar="IMPL",
                    choices=list(EVENTQ_CHOICES),
                    help="event-queue implementation: auto (default, "
@@ -138,13 +138,6 @@ def _parser() -> argparse.ArgumentParser:
                         "heap (reference), calendar (pure Python), or "
                         "compiled (default: $REPRO_EVENTQ; output is "
                         "identical for every choice)")
-    p.add_argument("--engine", default=None, metavar="MODE",
-                   choices=list(ENGINE_CHOICES),
-                   help="parallel-engine synchronization mode: "
-                        "conservative (epoch windows, the default) or "
-                        "optimistic (Time Warp speculation with "
-                        "rollback; default: $REPRO_ENGINE; output is "
-                        "identical for either mode)")
     p.add_argument("--transport", default=None, metavar="NAME",
                    choices=list(TRANSPORT_CHOICES),
                    help="shard IPC transport: pipe (Connection "
@@ -196,15 +189,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         from .serve.cli import serve_main, submit_main
 
         return {"serve": serve_main, "submit": submit_main}[argv[0]](argv[1:])
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.iterations is not None and args.iterations < 1:
-        parser.error(f"--iterations must be at least 1, got {args.iterations}")
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.from_env(
             jobs=args.jobs, shards=args.shards, eventq=args.eventq,
-            engine=args.engine, transport=args.transport,
-            full_scale=args.full_scale or None,
+            transport=args.transport, full_scale=args.full_scale or None,
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

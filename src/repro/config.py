@@ -1,14 +1,17 @@
 """One run configuration for every wall-clock knob.
 
-Eight knobs choose *how* a run executes — sweep workers, shard
-processes, event queue, engine mode, shard transport, hang deadline,
-sweep point timeout — and which PE counts the figure sweeps cover
-(full scale); none of them changes the bytes of any one simulated
-point.  Each resolves **flag > environment > default**: a
-non-None explicit value wins, else a non-empty ``REPRO_*`` variable,
-else the default.  Every value, whatever its source, is validated by
-the same parser, and a bad one raises :class:`ConfigError` with a
-one-line message naming the flag, keyword or variable it came from.
+Seven knobs choose *how* a run executes — sweep workers, shard
+processes, event queue, shard transport, hang deadline, sweep point
+timeout — and which PE counts the figure sweeps cover (full scale).
+Only ``shards`` can change the bytes of a simulated point: explicit
+shard counts agree with each other, but the default serial path
+reserves receiver NICs in send order rather than head-arrival order,
+so on Infiniband it can differ from them.  Each resolves **flag >
+environment > default**: a non-None explicit value wins, else a
+non-empty ``REPRO_*`` variable, else the default.  Every value,
+whatever its source, is validated by the same parser, and a bad one
+raises :class:`ConfigError` with a one-line message naming the flag,
+keyword or variable it came from.
 
 Entry points (``repro``, ``repro serve``) resolve one
 :class:`RunConfig` at start-up and :func:`install` it; library callers
@@ -27,7 +30,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Iterator, Mapping, Optional
 
 EVENTQ_CHOICES = ("auto", "heap", "calendar", "compiled")
-ENGINE_CHOICES = ("conservative", "optimistic")
 TRANSPORT_CHOICES = ("pipe", "shm")
 
 #: Longest accepted wait, in seconds: poll(2) takes its timeout as a
@@ -82,7 +84,8 @@ def _flag(raw: Any) -> bool:
 
 
 def count_arg(raw: str) -> int:
-    """argparse ``type=`` for the count flags (``--jobs``, ``--shards``)."""
+    """argparse ``type=`` for the count flags (``--jobs``, ``--shards``,
+    ``--pes``, ``--size``, ``--iterations``)."""
     try:
         return _count(raw)
     except ValueError as exc:
@@ -111,8 +114,6 @@ class RunConfig:
     shards: Optional[int] = _knob(None, "REPRO_SHARDS", _count)
     #: event-queue implementation (:func:`repro.sim.make_simulator`).
     eventq: str = _knob("auto", "REPRO_EVENTQ", _choice(EVENTQ_CHOICES))
-    #: sharded-engine synchronization mode.
-    engine: str = _knob("conservative", "REPRO_ENGINE", _choice(ENGINE_CHOICES))
     #: shard IPC transport.
     transport: str = _knob("pipe", "REPRO_TRANSPORT", _choice(TRANSPORT_CHOICES))
     #: seconds a shard may take to reach its next barrier before the

@@ -247,7 +247,7 @@ class ProcFaultInjector:
     shard worker process.
 
     Built post-fork by the worker from ``rt.proc_faults``; rules fire
-    at epoch/GVT barriers (``at_barrier`` is called once per round,
+    at epoch barriers (``at_barrier`` is called once per round,
     just before the worker reports its barrier state, so the
     coordinator observes the failure exactly where a real mid-epoch
     death would surface: on the next pipe read).  One-shot rules apply

@@ -190,7 +190,7 @@ class ProcFaultRule:
     """One real fault against a shard worker *process*.
 
     Unlike :class:`FaultRule` these are not simulated-fabric faults: a
-    ``kill`` rule SIGKILLs the worker at an epoch/GVT barrier, ``hang``
+    ``kill`` rule SIGKILLs the worker at an epoch barrier, ``hang``
     wedges it in a SIGTERM-ignoring sleep loop (exercising the
     supervisor's deadline + kill escalation), and ``slow`` adds a
     per-barrier wall-clock delay (a straggler that must *not* trip the

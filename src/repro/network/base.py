@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Callable, List, Optional, Tuple
 
 from ..projections.events import CAT_NET, NET_TRACK
@@ -92,17 +92,11 @@ class Fabric(Entity):
         #: runtime / ckdirect layers immediately before each service
         #: call; consumed and cleared by :meth:`transfer`).
         self._engine_desc = None
-        #: heap of in-flight arrival records, as entries
-        #: ``(head_arrival, dst, src, k, admit_seq, rec)`` where rec is
+        #: heap of in-flight arrival records
         #: ``(head_arrival, dst, src, k, stream, occ, wire_bytes, desc)``.
-        #: The local admit_seq guarantees the heap never compares desc
-        #: payloads: under the optimistic engine a stale record and its
-        #: regenerated divergent twin (same ``(src, k)`` identity by
-        #: design, different payload) can transiently coexist until the
-        #: twin's anti-message lands, and their order only affects a
-        #: speculative timeline the rollback repairs.
+        #: ``(src, k)`` is unique (each source PE's counter lives in
+        #: exactly one shard), so heap order never compares the rest.
         self._records: list = []
-        self._admit_seq = 0
         #: per-source-PE monotone transfer counter (deterministic
         #: record tiebreak, identical at any shard count).
         self._send_k: dict = {}
@@ -246,9 +240,7 @@ class Fabric(Entity):
                    cb if desc is None else desc)
             owned = self._owned_nodes
             if owned is None or dst_node in owned:
-                heappush(self._records,
-                         (head_arrival, dst, src, k, self._admit_seq, rec))
-                self._admit_seq += 1
+                heappush(self._records, rec)
                 self.sim.at(head_arrival, self._admit_arrivals,
                             priority=_ADMIT_PRIORITY)
             else:
@@ -308,7 +300,7 @@ class Fabric(Entity):
         at = self.sim.at
         tracer = self.tracer
         while recs and recs[0][0] <= now:
-            ha, dst, src, _k, stream, occ, wire_bytes, payload = heappop(recs)[5]
+            ha, dst, src, _k, stream, occ, wire_bytes, payload = heappop(recs)
             dn = node_of(dst)
             rx_start = rx_free[dn] if rx_free[dn] > ha else ha
             delivery = rx_start + stream
@@ -330,52 +322,8 @@ class Fabric(Entity):
 
     def admit_remote(self, rec: tuple) -> None:
         """Insert one exchanged record (its ha lies in a future window)."""
-        heappush(self._records,
-                 (rec[0], rec[1], rec[2], rec[3], self._admit_seq, rec))
-        self._admit_seq += 1
+        heappush(self._records, rec)
         self.sim.at(rec[0], self._admit_arrivals, priority=_ADMIT_PRIORITY)
-
-    # ------------------------------------------------------------------
-    # Time Warp engine-state hooks (see repro.sim.timewarp)
-    # ------------------------------------------------------------------
-
-    def engine_checkpoint(self) -> tuple:
-        """Snapshot the engine-mode buffered state.
-
-        Record tuples are immutable and shared with the snapshot; the
-        outbox keeps the *same* record objects so a rollback can tell
-        which speculative sends were already generated at checkpoint
-        time (identity-based accounting in the Time Warp send log).
-        """
-        return (
-            list(self._records),
-            list(self._outbox),
-            dict(self._send_k),
-            list(self._tx_free),
-            list(self._rx_free),
-        )
-
-    def engine_restore(self, snap: tuple) -> None:
-        records, outbox, send_k, tx_free, rx_free = snap
-        self._records = list(records)
-        heapify(self._records)
-        self._outbox = list(outbox)
-        self._send_k = dict(send_k)
-        self._tx_free = list(tx_free)
-        self._rx_free = list(rx_free)
-
-    def engine_remove_records(self, dead: set) -> int:
-        """Drop admitted remote records by identity (anti-messages).
-
-        Every record in the heap has ``ha >= now`` at an epoch barrier,
-        so an anti-message whose target has not been executed yet can
-        simply delete it; its scheduled admission wake then finds
-        nothing due.  Returns the number removed.
-        """
-        before = len(self._records)
-        self._records = [e for e in self._records if id(e[5]) not in dead]
-        heapify(self._records)
-        return before - len(self._records)
 
     # ------------------------------------------------------------------
     # Machine-specific constants (overridden per fabric)

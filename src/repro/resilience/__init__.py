@@ -4,7 +4,7 @@ PR 3 made the *simulated* fabric fault-tolerant; this package does the
 same for the *real* processes that run a simulation:
 
 * :mod:`.supervisor` — coordinator-side shard supervision for the
-  ``--shards N`` engines: barrier-piggybacked heartbeats, crash/hang
+  ``--shards N`` engine: barrier-piggybacked heartbeats, crash/hang
   detection, deterministic restart by message-log replay, and graceful
   degradation to the serial engine after ``supervisor.MAX_RESTARTS``
   restarts (bit-identical output on every rung of the ladder).
@@ -27,7 +27,6 @@ from .supervisor import (
     RestartBudgetExceeded,
     ShardSupervisor,
     supervise_conservative,
-    supervise_timewarp,
 )
 
 __all__ = [
@@ -38,6 +37,5 @@ __all__ = [
     "read_sidecar",
     "sidecar_path",
     "supervise_conservative",
-    "supervise_timewarp",
     "write_sidecar",
 ]

@@ -1,35 +1,31 @@
 """Shard supervision: crash/hang detection and deterministic restart.
 
-Every ``--shards N`` run that forks (either engine; the serial
-fallbacks are listed on :func:`repro.sim.parallel._fork_plan`) starts
-**all** N shard workers and keeps the parent as a *pristine pure
-coordinator*: it never enters a shard, never runs an event, and never
-mutates simulation state until every worker has shipped its final
+Every ``--shards N`` run that forks (the serial fallbacks are listed
+on :func:`repro.sim.parallel._fork_plan`) starts **all** N shard
+workers and keeps the parent as a *pristine pure coordinator*: it
+never enters a shard, never runs an event, and never mutates
+simulation state until every worker has shipped its final
 reconciliation payload.  That purity is the whole design — it gives
 the supervisor two recovery levers that a coordinator running a shard
 of its own could not have:
 
-1. **Deterministic restart.**  Both engines' window protocols are pure
-   functions of the coordinator→worker message stream (epoch windows
-   under the conservative engine, GVT rounds — including every
-   rollback, anti-message and checkpoint — under Time Warp).  The
+1. **Deterministic restart.**  The epoch-window protocol is a pure
+   function of the coordinator→worker message stream.  The
    supervisor therefore logs every message it sends to each shard;
    when a worker crashes (pipe EOF / ``Process.exitcode``) or hangs
    (no barrier heartbeat within the run configuration's
    ``shard_deadline`` seconds), it
    re-forks a replacement *from the pristine parent image* and replays
-   the log.  The replacement reconstructs the lost worker's exact
-   barrier state — the conservative engine effectively re-runs from
-   the last epoch barrier, Time Warp deterministically rebuilds its
-   pre-GVT checkpoints and re-enters speculation — and the run's
-   output stays bit-identical to a fault-free one.
+   the log.  The replacement re-runs from the last epoch barrier to
+   the lost worker's exact barrier state, and the run's output stays
+   bit-identical to a fault-free one.
 
 2. **Graceful degradation.**  After :data:`MAX_RESTARTS` restarts
    the supervisor stops trying: it reaps every worker and
    runs the whole problem serially *in the parent*, whose runtime is
    still exactly as constructed (host sends buffered, zero events
    run).  The degraded run is the ordinary ``--shards 1`` path and is
-   bit-identical by the engines' existing guarantee.
+   bit-identical by the engine's existing guarantee.
 
 Heartbeats are piggybacked on the existing barrier messages — a
 worker that reaches its barrier *is* the heartbeat — so the clean
@@ -38,7 +34,7 @@ path adds no extra traffic.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, List, Optional
+from typing import TYPE_CHECKING, Any, List
 
 from ..config import current
 from ..sim.parallel import (
@@ -89,14 +85,13 @@ class ShardSupervisor:
     discards exactly one message (``pending_discard``).
     """
 
-    def __init__(self, rt: "Runtime", ctx, blocks: List[range], worker,
-                 worker_extra: tuple = ()) -> None:
+    def __init__(self, rt: "Runtime", ctx, blocks: List[range],
+                 worker) -> None:
         self.rt = rt
         self.ctx = ctx
         self.blocks = blocks
         self.n = len(blocks)
         self.worker = worker
-        self.worker_extra = tuple(worker_extra)
         self.transport = rt.transport
         self.deadline = current().shard_deadline
         self.max_restarts = MAX_RESTARTS
@@ -134,8 +129,7 @@ class ShardSupervisor:
         )
         p = self.ctx.Process(
             target=self.worker,
-            args=(self.rt, shard, self.blocks[shard], child)
-            + self.worker_extra,
+            args=(self.rt, shard, self.blocks[shard], child),
             kwargs={"incarnation": self.incarnations[shard]},
             daemon=True,
             name=f"shard{shard}.{self.incarnations[shard]}",
@@ -310,7 +304,7 @@ class ShardSupervisor:
 
 
 # ---------------------------------------------------------------------------
-# Supervised coordinator loops (one per engine)
+# The supervised coordinator loop
 # ---------------------------------------------------------------------------
 
 
@@ -330,7 +324,7 @@ def _degrade_to_serial(rt: "Runtime", sup: ShardSupervisor) -> float:
 
 def supervise_conservative(rt: "Runtime", ctx, blocks: List[range],
                            delta: float) -> float:
-    """Supervised epoch-window coordinator (conservative engine)."""
+    """Supervised epoch-window coordinator."""
     from ..sim.parallel import (
         _make_shard_of_rank,
         _merge_final,
@@ -369,51 +363,6 @@ def supervise_conservative(rt: "Runtime", ctx, blocks: List[range],
         _merge_final(rt, payload)
     rt.shard_cpu_times = [p["cpu"] for p in finals]
     rt.parallel_rounds = rounds
-    rt.supervision = sup.report()
-    rt.transport_stats = sup.transport_stats()
-    return rt.sim.now
-
-
-def supervise_timewarp(rt: "Runtime", ctx, blocks: List[range],
-                       delta: float, horizon: Optional[float],
-                       cp_events: int) -> float:
-    """Supervised GVT coordinator (Time Warp engine)."""
-    from ..sim.parallel import _make_shard_of_rank, _merge_final
-    from ..sim.timewarp import STAT_KEYS, _GvtPlanner, _timewarp_worker
-
-    n = len(blocks)
-    sup = ShardSupervisor(rt, ctx, blocks, _timewarp_worker, (cp_events,))
-    planner = _GvtPlanner(
-        n, _make_shard_of_rank(rt.fabric.topology, blocks), delta, horizon
-    )
-    try:
-        while True:
-            states = [sup.recv_state(s) for s in range(n)]
-            gvt, bound, flush, inboxes, anti_boxes = planner.plan(states)
-            if gvt == _INF:
-                for s in range(n):
-                    sup.send(s, ("done",))
-                break
-            for s in range(n):
-                sup.send(s, ("window", bound, gvt, inboxes[s],
-                             anti_boxes[s], flush))
-        finals = [sup.recv_final(s) for s in range(n)]
-    except RestartBudgetExceeded:
-        sup.close(graceful_timeout=1.0)
-        now = _degrade_to_serial(rt, sup)
-        rt.timewarp_stats = {k: 0 for k in STAT_KEYS}
-        return now
-    finally:
-        sup.close()
-    stats = {k: 0 for k in STAT_KEYS}
-    for payload in finals:
-        _merge_final(rt, payload)
-        for k, v in payload["timewarp"].items():
-            stats[k] += v
-    stats["gvt_rounds"] = planner.rounds
-    rt.shard_cpu_times = [p["cpu"] for p in finals]
-    rt.timewarp_stats = stats
-    rt.parallel_rounds = planner.rounds
     rt.supervision = sup.report()
     rt.transport_stats = sup.transport_stats()
     return rt.sim.now

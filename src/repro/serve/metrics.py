@@ -82,7 +82,6 @@ class ServeMetrics:
             },
             "engine": {
                 "eventq": self.config.eventq,
-                "mode": self.config.engine,
                 "transport": self.config.transport,
                 "shards": self.config.shards,
                 "jobs": self.config.jobs,

@@ -854,95 +854,6 @@ calsim_note_cancel_py(CalSimObject *self, PyObject *Py_UNUSED(ignored))
 }
 
 /* ------------------------------------------------------------------ */
-/* Checkpoint / restore (the Time Warp engine's rollback hooks)       */
-/* ------------------------------------------------------------------ */
-
-static PyObject *
-calsim_checkpoint(CalSimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    /* (now, seq, events_processed, [(event, cancelled), ...]).  The
-     * list holds strong refs to the queued events, so the freelist
-     * cannot recycle them while a checkpoint is alive. */
-    Py_ssize_t n = (self->cur_len - self->cur_pos) + self->top_len;
-    PyObject *entries = PyList_New(n);
-    if (entries == NULL)
-        return NULL;
-    Py_ssize_t w = 0;
-    for (Py_ssize_t i = self->cur_pos; i < self->cur_len; i++) {
-        CEventObject *ev = (CEventObject *)self->cur[i].ev;
-        PyObject *pair = Py_BuildValue("(Oi)", ev, (int)ev->cancelled);
-        if (pair == NULL) {
-            Py_DECREF(entries);
-            return NULL;
-        }
-        PyList_SET_ITEM(entries, w++, pair);
-    }
-    for (Py_ssize_t i = 0; i < self->top_len; i++) {
-        CEventObject *ev = (CEventObject *)self->top[i].ev;
-        PyObject *pair = Py_BuildValue("(Oi)", ev, (int)ev->cancelled);
-        if (pair == NULL) {
-            Py_DECREF(entries);
-            return NULL;
-        }
-        PyList_SET_ITEM(entries, w++, pair);
-    }
-    return Py_BuildValue("(dLLN)", self->now, self->seq,
-                         self->events_processed, entries);
-}
-
-static PyObject *
-calsim_restore(CalSimObject *self, PyObject *args)
-{
-    double now;
-    long long seq, done;
-    PyObject *entries;
-    if (!PyArg_ParseTuple(args, "dLLO:restore",
-                          &now, &seq, &done, &entries))
-        return NULL;
-    PyObject *fast = PySequence_Fast(entries, "restore entries");
-    if (fast == NULL)
-        return NULL;
-    if (self->running) {
-        Py_DECREF(fast);
-        PyErr_SetString(SimulationError, "restore() during run()");
-        return NULL;
-    }
-    calsim_clear_entries(self);
-    self->now = now;
-    self->seq = seq;
-    self->events_processed = done;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(fast);
-    /* Refill everything through the future rung: the next refill
-     * qsorts it into one fully sorted current rung. */
-    if (grow(&self->top, &self->top_cap, n) < 0) {
-        Py_DECREF(fast);
-        return NULL;
-    }
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *pair = PySequence_Fast_GET_ITEM(fast, i);
-        PyObject *evo;
-        int cancelled;
-        if (!PyArg_ParseTuple(pair, "Oi", &evo, &cancelled) ||
-            !PyObject_TypeCheck(evo, &CEvent_Type)) {
-            if (!PyErr_Occurred())
-                PyErr_SetString(PyExc_TypeError,
-                                "restore entries must be (Event, flag)");
-            Py_DECREF(fast);
-            return NULL;
-        }
-        CEventObject *ev = (CEventObject *)evo;
-        ev->cancelled = (char)(cancelled != 0);
-        ev->popped = 0;
-        Entry e = {ev->time, ev->priority, ev->seq, evo};
-        Py_INCREF(evo);
-        self->top[self->top_len++] = e;
-        self->cancelled_pending += (cancelled != 0);
-    }
-    Py_DECREF(fast);
-    Py_RETURN_NONE;
-}
-
-/* ------------------------------------------------------------------ */
 /* Properties                                                         */
 /* ------------------------------------------------------------------ */
 
@@ -1014,10 +925,6 @@ static PyMethodDef calsim_methods[] = {
     {"next_event_time", (PyCFunction)calsim_next_event_time, METH_NOARGS,
      "Time of the next live event, or inf."},
     {"_note_cancel", (PyCFunction)calsim_note_cancel_py, METH_NOARGS, NULL},
-    {"checkpoint", (PyCFunction)calsim_checkpoint, METH_NOARGS,
-     "Snapshot (now, seq, events_processed, [(event, cancelled), ...])."},
-    {"restore", (PyCFunction)calsim_restore, METH_VARARGS,
-     "Restore a checkpoint() snapshot in place."},
     {NULL}
 };
 

@@ -544,71 +544,6 @@ else:  # pragma: no cover - depends on the build
 
 
 # ---------------------------------------------------------------------------
-# State save / restore (the Time Warp engine's rollback hooks)
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_sim(sim: Any) -> tuple:
-    """Snapshot a simulator's complete pending state.
-
-    The snapshot holds *references* to the pending :class:`Event`
-    objects (their closures keep pointing at the live runtime — the
-    optimistic engine restores application state in place, so those
-    references stay valid) plus a copy of each event's cancelled flag,
-    the clock, the scheduling sequence counter and the processed-event
-    count.  Restoring and re-running therefore replays the exact
-    ``(time, priority, seq)`` pop order of the original execution.
-
-    Works on every ``--eventq`` implementation, including an
-    :class:`AutoSimulator` that commits to a different class between
-    checkpoint and restore (the snapshot pins ``__class__``).
-    Checkpoints must be taken outside ``run()`` (between events).
-    """
-    cls = sim.__class__
-    if _ceventq is not None and isinstance(sim, _ceventq.CalendarSimCore):
-        # (now, seq, events_processed, [(event, cancelled), ...])
-        return ("c",) + sim.checkpoint()
-    if cls is CalendarSimulator:
-        entries = sim._cur[sim._pos:] + sim._top
-    else:  # Simulator / AutoSimulator: the heap list is the whole queue
-        entries = list(sim._heap)
-    flags = [e[3]._cancelled for e in entries]
-    return (cls, sim._now, sim._seq, sim._events_processed, entries, flags)
-
-
-def restore_sim(sim: Any, snap: tuple) -> None:
-    """Restore ``sim`` to a :func:`checkpoint_sim` snapshot in place."""
-    if snap[0] == "c":
-        _, now, seq, done, entries = snap
-        sim.restore(now, seq, done, entries)
-        return
-    cls, now, seq, done, entries, flags = snap
-    for (_, _, _, ev), flag in zip(entries, flags):
-        ev._cancelled = flag
-        ev._popped = False
-    sim.__class__ = cls
-    sim._now = now
-    sim._seq = seq
-    sim._events_processed = done
-    sim._running = False
-    sim._cancelled_in_heap = sum(flags)
-    if cls is CalendarSimulator:
-        if hasattr(sim, "_heap"):
-            del sim._heap
-        # One fully sorted rung is a legal calendar state (the rung
-        # invariant only needs _cur sorted with _pos at its head).
-        sim._cur = sorted(entries)
-        sim._pos = 0
-        sim._top = []
-    else:
-        for name in ("_cur", "_pos", "_top"):
-            if hasattr(sim, name):
-                delattr(sim, name)
-        # A copy of a heap list is still a valid heap.
-        sim._heap = list(entries)
-
-
-# ---------------------------------------------------------------------------
 # Factory
 # ---------------------------------------------------------------------------
 

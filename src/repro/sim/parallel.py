@@ -34,9 +34,11 @@ Determinism: arrivals are admitted per destination node in canonical
 ``(head_arrival, dst, src, k)`` order — ``k`` a per-source-PE counter
 that is independent of the shard count — so ``--shards N`` produces
 **bit-identical** results to ``--shards 1`` (which runs in-process but
-with the same canonical admission order; the legacy no-shards path is
-untouched).  Trace event/message *ids* are process-local and therefore
-not part of that guarantee; all report content is.
+with the same canonical admission order).  The legacy no-shards path
+reserves receiver NICs in send order instead, so on Infiniband it can
+differ from every explicit shard count.  Trace event/message *ids*
+are process-local and therefore not part of that guarantee; all
+report content is.
 
 Cross-shard payloads travel in wire form: charm messages are re-built
 on the destination shard, CkDirect handles crossing in a message
@@ -47,7 +49,9 @@ shard's real handle.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
+import sys
 import time
 import traceback
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -193,17 +197,6 @@ def deliver_remote(rt: "Runtime", dst_rank: int, desc: tuple) -> None:
         _, hid, snap = desc
         handle = rt._handles.get(hid)
         if handle is None:
-            if rt.engine == "optimistic":
-                # Mis-speculation artifact: a rollback restored the
-                # handle registry below this put's creation point, so
-                # the record belongs to a dead timeline.  A committed
-                # put's handle registration strictly precedes its
-                # arrival (positive latency along the causal chain),
-                # and the anti-message that cancels this record always
-                # forces a rollback below the current clock — so the
-                # skip itself is guaranteed to be rolled back too.
-                rt.trace.count("timewarp_misspec_puts")
-                return
             raise ParallelEngineError(
                 f"cross-shard put for unknown handle #{hid} on "
                 f"shard {rt.shard_id}"
@@ -280,7 +273,7 @@ def _host_payload(rt: "Runtime") -> list:
     array proxy) keep the parent's originals."""
     return [
         {k: v for k, v in obj.__dict__.items() if _is_plain_data(v)}
-        for obj in rt._tw_host_state
+        for obj in rt._host_state
     ]
 
 
@@ -341,7 +334,7 @@ def _merge_final(rt: "Runtime", payload: dict) -> None:
         rt.pes[rank].busy_time = busy_time
     for (aid, idx), state in payload["states"].items():
         rt.arrays[aid].elements[idx].shard_load(state)
-    for obj, attrs in zip(rt._tw_host_state, payload.get("host", ())):
+    for obj, attrs in zip(rt._host_state, payload.get("host", ())):
         obj.__dict__.update(attrs)
     log = rt.tracer
     if log is not None and payload["trace_events"]:
@@ -404,11 +397,38 @@ def _proc_injector(rt: "Runtime", shard_id: int, incarnation: int):
     return ProcFaultInjector(plan, shard_id, incarnation)
 
 
+#: Seconds between a waiting worker's checks that its coordinator lives.
+COORDINATOR_CHECK_S = 1.0
+
+
+def _next_window(conn, shard_id: int, coordinator: int) -> tuple:
+    """The coordinator's answer to this worker's state message.
+
+    A killed coordinator never closes the channel: each worker inherits
+    the coordinator's end of its own link, and so does every sibling
+    forked after it, so EOF never comes.  The worker therefore waits in
+    slices and checks its parent between them.  Once it has been
+    reparented, it releases the channel's persistent resources (the
+    ring segments under ``--transport shm``) and raises.
+    """
+    while not conn.poll(COORDINATOR_CHECK_S):
+        if os.getppid() != coordinator:
+            conn.unlink()
+            conn.close()
+            raise ParallelEngineError(
+                f"shard {shard_id}: coordinator pid {coordinator} is gone"
+            )
+    return conn.recv()
+
+
 def _shard_worker(
     rt: "Runtime", shard_id: int, block: range, conn, incarnation: int = 0,
 ) -> None:
     """Worker-shard entry point (runs in a forked child)."""
     try:
+        # Recorded by the coordinator before the fork, so a coordinator
+        # that dies before this line is still told apart from a reaper.
+        coordinator = mp.parent_process().pid
         base = _enter_shard(rt, shard_id, block)
         pf = _proc_injector(rt, shard_id, incarnation)
         sim, fab = rt.sim, rt.fabric
@@ -419,7 +439,7 @@ def _shard_worker(
                 pf.at_barrier(round_no)
             outbox = [encode_record(r) for r in fab.take_outbox()]
             conn.send(("state", sim.next_event_time(), outbox))
-            msg = conn.recv()
+            msg = _next_window(conn, shard_id, coordinator)
             if msg[0] == "done":
                 break
             _, bound, inbox = msg
@@ -429,11 +449,12 @@ def _shard_worker(
         conn.send(("final", _final_payload(rt, block, base)))
         conn.close()
     except BaseException:
+        tb = traceback.format_exc()
         try:
-            conn.send(("error", shard_id, traceback.format_exc()))
+            conn.send(("error", shard_id, tb))
             conn.close()
-        except Exception:  # pragma: no cover - pipe already gone
-            pass
+        except Exception:  # channel gone: the coordinator never reads it
+            sys.stderr.write(tb)
         os._exit(1)
     os._exit(0)
 
@@ -471,8 +492,6 @@ def _fork_plan(rt: "Runtime") -> Tuple[int, Optional[Any]]:
         n = 1
     ctx = None
     if n > 1:
-        import multiprocessing as mp
-
         if mp.current_process().daemon:
             n = 1
         else:

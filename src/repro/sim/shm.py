@@ -1,7 +1,7 @@
 """One-sided shared-memory shard transport (``--transport shm``).
 
-The sharded engines (:mod:`repro.sim.parallel`, :mod:`repro.sim.
-timewarp`) exchange one message per shard per barrier: the worker's
+The sharded engine (:mod:`repro.sim.parallel`) exchanges one
+message per shard per barrier: the worker's
 ``state`` (next event time + the epoch window's cross-shard records)
 and the coordinator's ``window`` answer.  The reference transport
 ships those over :class:`multiprocessing.connection.Connection` pipes

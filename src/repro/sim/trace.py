@@ -159,29 +159,3 @@ class Trace:
         self.counters.clear()
         self.stats.clear()
         self.samples.clear()
-
-    # Time Warp checkpoint/restore (see repro.sim.timewarp).  All
-    # lookups are by name, so restoring fresh accumulator objects (not
-    # the originals) is safe here, unlike the identity-preserving
-    # snapshots the charm layer needs.
-
-    def tw_checkpoint(self) -> tuple:
-        return (
-            dict(self.counters),
-            {k: (s.n, s._mean, s._m2, s.min, s.max, s.total)
-             for k, s in self.stats.items()},
-            {k: list(v) for k, v in self.samples.items()},
-        )
-
-    def tw_restore(self, snap: tuple) -> None:
-        counters, stats, samples = snap
-        self.counters.clear()
-        self.counters.update(counters)
-        self.stats.clear()
-        for k, (n, mean, m2, mn, mx, total) in stats.items():
-            s = RunningStats()
-            s.n, s._mean, s._m2, s.min, s.max, s.total = n, mean, m2, mn, mx, total
-            self.stats[k] = s
-        self.samples.clear()
-        for k, v in samples.items():
-            self.samples[k] = list(v)

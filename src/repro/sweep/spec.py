@@ -30,15 +30,17 @@ from ..network.params import MACHINES, MachineParams
 #: Engine-schema version folded into every :meth:`RunSpec.digest`.
 #:
 #: The content-addressed result cache assumes *identical spec ⇒
-#: identical result bytes*.  That holds across ``--jobs`` / ``--shards``
-#: / ``--eventq`` (all three are wall-clock knobs — every event-queue
-#: implementation pops the same ``(time, priority, seq)`` total order,
-#: proven by the eventq property suite, so swapping queues cannot
-#: change bytes and does NOT bump this constant) but NOT across engine
-#: changes: any PR that alters simulated timings, event ordering,
-#: point values, or the canonical result payload must bump this
-#: constant, which changes every digest and cleanly invalidates all
-#: previously cached results.
+#: identical result bytes*.  That holds across ``--jobs``, ``--eventq``
+#: and explicit ``--shards`` counts (every event-queue implementation
+#: pops the same ``(time, priority, seq)`` total order, proven by the
+#: eventq property suite, so swapping queues cannot change bytes and
+#: does NOT bump this constant).  On Infiniband the default serial
+#: path can differ from sharded runs, because it reserves receiver
+#: NICs in send order.  It does NOT hold across engine changes: any
+#: change that alters simulated timings, event ordering, point values,
+#: or the canonical result payload must bump this constant, which
+#: changes every digest and cleanly invalidates all previously cached
+#: results.
 ENGINE_SCHEMA = 1
 
 
@@ -189,9 +191,11 @@ class RunSpec:
         * independent of ``params`` insertion order (params are sorted
           both by :meth:`make` and by canonical encoding),
         * independent of ``--jobs`` / ``--shards`` / env knobs (none of
-          those are spec fields — they are wall-clock knobs that the
-          sweep determinism guarantee proves do not change result
-          bytes), and
+          those are spec fields).  ``--jobs`` and ``--eventq`` never
+          change result bytes, and explicit ``--shards`` counts agree
+          with each other, but on Infiniband the default serial path
+          can differ from sharded runs, so one store should see one
+          shard setting, and
         * versioned: bumping :data:`ENGINE_SCHEMA` changes every
           digest, so a cache can never serve results computed by an
           older engine.

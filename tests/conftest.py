@@ -1,7 +1,6 @@
 """Suite-wide fixtures.
 
-The process-forking suites (``tests/sim`` and ``tests/resilience``)
-run under a no-leak guard: a test there fails if it leaves a live
+Every test runs under a no-leak guard: it fails if it leaves a live
 child process or a shared-memory transport segment behind.
 """
 
@@ -11,8 +10,6 @@ import os
 import pytest
 
 from repro.sim.shm import segment_prefix
-
-_FORKING_SUITES = ("sim", "resilience")
 
 
 def _segments():
@@ -25,12 +22,9 @@ def _segments():
 
 
 @pytest.fixture(autouse=True)
-def _no_leaks(request):
-    """Every forking-suite test must leave the live child processes
-    and /dev/shm exactly as it found them."""
-    if request.path.parent.name not in _FORKING_SUITES:
-        yield
-        return
+def _no_leaks():
+    """Every test must leave the live child processes and /dev/shm
+    exactly as it found them."""
     procs, segs = set(mp.active_children()), _segments()
     yield
     live = [p.name for p in mp.active_children() if p not in procs]

@@ -13,7 +13,6 @@ MALFORMED_ENV = {
     "REPRO_JOBS": "many",
     "REPRO_SHARDS": "lots",
     "REPRO_EVENTQ": "splay",
-    "REPRO_ENGINE": "bogus",
     "REPRO_TRANSPORT": "bogus",
     "REPRO_SHARD_DEADLINE": "soon",
     "REPRO_SWEEP_TIMEOUT": "inf",
@@ -140,16 +139,27 @@ def test_trace_out_multi_run_artifact(tmp_path):
     assert len(pids) > 1  # one trace process per simulated runtime
 
 
-def test_nonpositive_iterations_rejected():
-    with pytest.raises(SystemExit):
-        main(["pingpong", "--iterations", "0"])
+#: count flag -> an artifact that reads it.
+COUNT_FLAGS = {
+    "--pes": "fig2a",
+    "--size": "pingpong",
+    "--iterations": "pingpong",
+    "--jobs": "table1",
+    "--shards": "table1",
+}
 
 
-def test_nonpositive_jobs_and_shards_flags_rejected():
-    for flag in ("--jobs", "--shards"):
-        for bad in ("0", "-2"):
-            with pytest.raises(SystemExit):
-                main(["table1", flag, bad])
+@pytest.mark.parametrize("flag", sorted(COUNT_FLAGS))
+def test_nonpositive_count_flags_rejected(flag, capsys):
+    """A count flag below 1 is a usage error (exit 2), never a
+    traceback from inside the run."""
+    for bad in ("0", "-8"):
+        with pytest.raises(SystemExit) as exc:
+            main([COUNT_FLAGS[flag], flag, bad])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: must be at least 1, got '{bad}'" in err
+        assert "Traceback" not in err
 
 
 def test_malformed_jobs_env_is_clear_error(monkeypatch, capsys):
@@ -199,11 +209,10 @@ def test_flags_install_the_run_config(monkeypatch):
     monkeypatch.setattr(cli, "run_fig2a", lambda pes: seen.append(
         current()) or {"report": ""})
     assert main(["fig2a", "--jobs", "3", "--shards", "2", "--eventq",
-                 "heap", "--engine", "optimistic", "--transport", "shm",
-                 "--full-scale"]) == 0
+                 "heap", "--transport", "shm", "--full-scale"]) == 0
     (cfg,) = seen
-    assert (cfg.jobs, cfg.shards, cfg.eventq, cfg.engine, cfg.transport,
-            cfg.full_scale) == (3, 2, "heap", "optimistic", "shm", True)
+    assert (cfg.jobs, cfg.shards, cfg.eventq, cfg.transport,
+            cfg.full_scale) == (3, 2, "heap", "shm", True)
     assert current() != cfg  # uninstalled when main returns
 
 

@@ -14,8 +14,12 @@ import errno
 import hashlib
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 
 import pytest
+
+import repro
 
 from repro.config import MAX_WAIT_S, current, install
 from repro.faults import ProcFaultPlan, ProcFaultRule
@@ -66,11 +70,11 @@ def test_supervised_clean_run_is_bit_identical(baseline):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["conservative", "optimistic"])
+@pytest.mark.parametrize("engine", ["conservative"])
 def test_sigkill_shard_recovers_bit_identical(baseline, engine):
     digest, events = baseline
-    r = _run(shards=4, engine=engine,
-             proc_faults=ProcFaultPlan.named("kill-shard"))
+    r = _run(shards=4, proc_faults=ProcFaultPlan.named("kill-shard"))
+    assert r.runtime.engine == engine
     sup = r.runtime.supervision
     assert sup["restarts"] == 1 and sup["crashes"] == 1
     assert not sup["degraded"]
@@ -112,12 +116,12 @@ def test_two_kills_within_budget(baseline):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["conservative", "optimistic"])
+@pytest.mark.parametrize("engine", ["conservative"])
 def test_hung_shard_detected_and_restarted(baseline, engine, monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_DEADLINE", "1")
     digest, events = baseline
-    r = _run(shards=4, engine=engine,
-             proc_faults=ProcFaultPlan.named("hang-shard"))
+    r = _run(shards=4, proc_faults=ProcFaultPlan.named("hang-shard"))
+    assert r.runtime.engine == engine
     sup = r.runtime.supervision
     assert sup["hangs"] == 1 and sup["restarts"] == 1
     assert not sup["degraded"]
@@ -140,20 +144,19 @@ def test_slow_worker_is_not_a_false_positive(baseline):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ["conservative", "optimistic"])
+@pytest.mark.parametrize("engine", ["conservative"])
 def test_restart_budget_degrades_to_serial(baseline, engine, monkeypatch):
     monkeypatch.setattr(supervisor, "MAX_RESTARTS", 1)
     digest, events = baseline
     plan = ProcFaultPlan("kill-every", (
         ProcFaultRule("kill", shard=1, at_round=3, every_incarnation=True),
     ))
-    r = _run(shards=4, engine=engine, proc_faults=plan)
+    r = _run(shards=4, proc_faults=plan)
+    assert r.runtime.engine == engine
     sup = r.runtime.supervision
     assert sup["degraded"] is True
     assert sup["restarts"] == 1  # budget, then surrender
     assert r.runtime.parallel_rounds is None  # serial path ran
-    if engine == "optimistic":
-        assert all(v == 0 for v in r.runtime.timewarp_stats.values())
     assert _digest(r) == digest
     assert r.events == events
 
@@ -220,3 +223,108 @@ def test_longest_accepted_deadline_is_pollable(baseline):
     assert r.runtime.supervision["restarts"] == 0
     assert _digest(r) == digest
     assert r.events == events
+
+
+# ---------------------------------------------------------------------------
+# Coordinator death: no worker outlives it
+# ---------------------------------------------------------------------------
+
+#: Run as ``python -c HELPER <transport>``: become a child subreaper,
+#: fork a coordinator running a long two-shard stencil, SIGKILL it once
+#: both shard workers exist, and exit 0 only if both workers are gone
+#: within 15 s and no new shm segment is left.  Leftovers are killed or
+#: unlinked either way.
+_ORPHAN_HELPER = r"""
+import ctypes, os, signal, sys, time
+
+from repro.sim.shm import segment_prefix
+
+if ctypes.CDLL(None, use_errno=True).prctl(36, 1, 0, 0, 0) != 0:
+    sys.exit("prctl(PR_SET_CHILD_SUBREAPER) failed")
+
+
+def segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith(segment_prefix())}
+
+
+def cmdline(pid):
+    with open(f"/proc/{pid}/cmdline", "rb") as f:
+        return f.read()
+
+
+def forked_children(pid):
+    # Shard workers are forked, not exec'd: they share pid's cmdline
+    # (the shm resource tracker does not).
+    out = []
+    for name in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{name}/stat") as f:
+                ppid = int(f.read().rsplit(")", 1)[1].split()[1])
+            if ppid == pid and cmdline(int(name)) == cmdline(pid):
+                out.append(int(name))
+        except (OSError, ValueError, IndexError):
+            pass
+    return out
+
+
+before = segments()
+coordinator = os.fork()
+if coordinator == 0:
+    try:
+        from repro.apps.stencil.driver import run_stencil
+        from repro.network.params import SURVEYOR
+
+        run_stencil(SURVEYOR, 16, domain=(16, 16, 16), vr=2,
+                    iterations=100_000, shards=2, transport=sys.argv[1])
+    finally:
+        os._exit(0)
+
+deadline = time.monotonic() + 60
+while len(workers := forked_children(coordinator)) < 2:
+    if time.monotonic() > deadline:
+        os.kill(coordinator, signal.SIGKILL)
+        sys.exit("shard workers never started")
+    time.sleep(0.01)
+os.kill(coordinator, signal.SIGKILL)
+os.waitpid(coordinator, 0)
+
+alive, deadline = set(workers), time.monotonic() + 15
+while alive and time.monotonic() < deadline:
+    alive -= {p for p in alive if os.waitpid(p, os.WNOHANG)[0]}
+    time.sleep(0.05)
+for p in alive:
+    os.kill(p, signal.SIGKILL)
+    os.waitpid(p, 0)
+leaked = segments() - before
+for name in leaked:
+    os.unlink("/dev/shm/" + name)
+deadline = time.monotonic() + 15  # reap the rest: the shm resource
+while time.monotonic() < deadline:  # tracker exits once its pipe closes
+    try:
+        if os.waitpid(-1, os.WNOHANG)[0] == 0:
+            time.sleep(0.05)
+    except ChildProcessError:
+        break
+else:
+    sys.exit("a child of the coordinator outlived it")
+if alive or leaked:
+    sys.exit(f"orphaned workers: {sorted(alive)}; leaked: {sorted(leaked)}")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="needs prctl(PR_SET_CHILD_SUBREAPER) and /proc")
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_workers_exit_when_coordinator_is_killed(transport):
+    """A SIGKILL'd coordinator never closes its channels (every worker
+    inherits the coordinator's ends), so each worker must notice its
+    reparenting on its own, release its shm rings and exit."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", _ORPHAN_HELPER, transport],
+        capture_output=True, text=True, timeout=180,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.returncode == 0, out.stderr
+    for shard in (0, 1):
+        assert f"shard {shard}: coordinator pid" in out.stderr

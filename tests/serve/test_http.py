@@ -200,5 +200,6 @@ def test_metrics_report_the_installed_config(tmp_path):
         srv.stop()
     assert (engine["shards"], engine["jobs"], engine["shard_deadline"]) \
         == (2, 3, 45.0)
-    assert (engine["eventq"], engine["mode"], engine["transport"]) \
-        == (cfg.eventq, cfg.engine, cfg.transport)
+    assert (engine["eventq"], engine["transport"]) \
+        == (cfg.eventq, cfg.transport)
+    assert "mode" not in engine

@@ -1,10 +1,13 @@
 """Tests for the sharded conservative-lookahead parallel engine.
 
 The contract under test is the one the module docstring states: a run
-at ``--shards N`` is bit-identical to ``--shards 1``, the legacy
-no-shards path is untouched and produces the same *content* (timings,
-application state), and runs that cannot shard fall back to a serial
-engine rather than diverging.
+at ``--shards N`` is bit-identical to ``--shards 1``, and runs that
+cannot shard fall back to a serial engine rather than diverging.  The
+legacy no-shards path produces the same *content* (timings,
+application state) only where no later send reaches a receiver first:
+it reserves receiver NICs in send order, the engine in head-arrival
+order.  The scale where that order matters is pinned as an expected
+failure.
 """
 
 import numpy as np
@@ -123,6 +126,22 @@ def test_stencil_bit_identical_across_shards():
     assert two.iter_times == one.iter_times
     assert two.events == one.events
     assert np.array_equal(two_grid, one_grid)
+
+
+@pytest.mark.xfail(strict=True, reason="the serial path reserves "
+                   "receiver NICs in send order, the engine in "
+                   "head-arrival order")
+def test_serial_matches_engine_where_sends_reorder():
+    """On Abe at 64 PEs a later send reaches a receiver first, so the
+    serial run differs from every explicit shard count."""
+    from repro.apps.stencil.driver import run_stencil
+
+    serial, one, two = (
+        run_stencil(ABE, 64, mode="msg", iterations=2, shards=shards)
+        for shards in (None, 1, 2)
+    )
+    assert two.iter_times == one.iter_times
+    assert serial.iter_times == one.iter_times
 
 
 def test_stencil_four_shards_on_torus():

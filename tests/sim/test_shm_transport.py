@@ -12,7 +12,7 @@ Three layers of contract:
   SIGKILL'd shard or degrade to serial on an exhausted budget (checked
   after every test by the no-leak guard in ``tests/conftest.py``);
 * **parity** — results over shm are bit-identical to pipe and to a
-  serial run, per app, per engine, at any shard count.
+  serial run, per app, at any shard count.
 
 SURVEYOR at 16 PEs = 4 nodes (4 cores/node), so ``shards=4`` forks
 four real worker processes.
@@ -259,7 +259,7 @@ def test_peer_death_is_eof():
 
 
 # ---------------------------------------------------------------------------
-# Bit-identity: pipe|shm x conservative|optimistic x app x shards
+# Bit-identity: pipe|shm x app x shards
 # ---------------------------------------------------------------------------
 
 
@@ -317,14 +317,15 @@ def serial_baseline():
     return out
 
 
-@pytest.mark.parametrize("engine", ["conservative", "optimistic"])
+@pytest.mark.parametrize("engine", ["conservative"])
 @pytest.mark.parametrize("app", sorted(_APPS))
 @pytest.mark.parametrize("transport", ["pipe", "shm"])
 def test_sharded_run_is_bit_identical(serial_baseline, transport, app,
                                       engine):
     state0, events0, times0 = serial_baseline[app]
     fn, shards = _APPS[app]
-    r, state = fn(shards=shards, transport=transport, engine=engine)
+    r, state = fn(shards=shards, transport=transport)
+    assert r.runtime.engine == engine
     assert np.array_equal(state, state0)
     assert r.events == events0
     times = getattr(r, "iter_times", None) or r.step_times

@@ -25,8 +25,6 @@ CASES = {
     "jobs": (1, "6", 6, 3, "many"),
     "shards": (None, "4", 4, 2, "lots"),
     "eventq": ("auto", "Calendar", "calendar", "heap", "splay"),
-    "engine": ("conservative", " optimistic ", "optimistic", "conservative",
-               "speculative"),
     "transport": ("pipe", "SHM", "shm", "pipe", "carrier-pigeon"),
     "shard_deadline": (120.0, "2.5", 2.5, 7.0, "soon"),
     "sweep_timeout": (600.0, "1.5", 1.5, 30.0, "ten minutes"),
@@ -35,8 +33,8 @@ CASES = {
 FIELDS = sorted(CASES)
 
 
-def test_table_covers_exactly_the_eight_fields():
-    assert set(CASES) == set(ENV) and len(ENV) == 8
+def test_table_covers_exactly_the_seven_fields():
+    assert set(CASES) == set(ENV) and len(ENV) == 7
     assert all(var.startswith("REPRO_") for var in ENV.values())
 
 
@@ -111,9 +109,9 @@ def test_waits_must_fit_a_poll_timeout(name):
 def test_replace_keeps_none_and_validates():
     cfg = RunConfig(shards=2, transport="shm")
     assert cfg.replace(shards=None, transport=None) == cfg
-    assert cfg.replace(engine="Optimistic").engine == "optimistic"
+    assert cfg.replace(eventq="Heap").eventq == "heap"
     with pytest.raises(TypeError):
-        cfg.replace(ring_bytes=4096)  # no knob beyond the eight
+        cfg.replace(ring_bytes=4096)  # no knob beyond the seven
 
 
 def test_current_reads_env_unless_installed(monkeypatch):
