@@ -119,12 +119,10 @@ class MatMulCkd(MatMulBase):
         if self.it >= self.iterations:
             return
         self._seed_own_slices()
-        # Both slice fan-outs leave as one delivery batch.
-        with self.rt.fabric.batch():
-            for h in self.a_put:
-                ckd.put(h)
-            for h in self.b_put:
-                ckd.put(h)
+        for h in self.a_put:
+            ckd.put(h)
+        for h in self.b_put:
+            ckd.put(h)
         self.sent_this_iter = True
         self._maybe_dgemm()
 

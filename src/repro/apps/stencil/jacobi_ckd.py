@@ -81,11 +81,9 @@ class JacobiCkd(JacobiBase):
         """Entry method: run one iteration's send phase."""
         if self.it >= self.iterations:
             return
-        # All halo puts of one iteration go out as one delivery batch.
-        with self.rt.fabric.batch():
-            for d, _nb in self.neighbors:
-                self._pack(d)
-                ckd.put(self.put_handles[d])
+        for d, _nb in self.neighbors:
+            self._pack(d)
+            ckd.put(self.put_handles[d])
         self.sent_this_iter = True
         self._maybe_advance()
 

@@ -113,10 +113,6 @@ class PE(Entity):
         if handle.arrived:  # data landed before the handle was re-armed
             self.kick()
 
-    def poll_remove(self, handle) -> None:
-        """Remove a handle from the polling queue (idempotent)."""
-        self.pollq.pop(handle.hid, None)
-
     def notify_arrival(self) -> None:
         """A put completed into one of this PE's buffers; wake to poll."""
         self.kick()

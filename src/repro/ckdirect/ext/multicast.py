@@ -7,14 +7,14 @@ handles its receivers created, and ``put_all`` fans the data out.
 
 On an RDMA fabric the fan-out is a sequence of RDMA writes from the
 same registered source; the NIC injection link serializes them, which
-the fabric model captures naturally.  After the first put of a batch,
+the fabric model captures naturally.  After the first put of a multicast,
 subsequent descriptor posts are cheaper (the source registration and
 descriptor template are warm), modelled by ``repeat_issue_factor``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence
+from typing import TYPE_CHECKING, List
 
 from ...util.buffers import Buffer
 from .. import api
@@ -41,11 +41,6 @@ class MulticastChannel:
         api.assoc_local(self.chare, handle, self.src_buffer)
         self.handles.append(handle)
 
-    def attach_all(self, handles: Sequence[CkDirectHandle]) -> None:
-        """Associate the shared buffer with several handles."""
-        for h in handles:
-            self.attach(h)
-
     @property
     def fanout(self) -> int:
         """Number of receivers attached."""
@@ -61,12 +56,9 @@ class MulticastChannel:
             raise CkDirectError(f"{self.name}: put_all with no receivers attached")
         rt = self.chare.rt
         issue = rt.machine.ckdirect.put_issue
-        # One schedule_batch admits the whole fan-out's delivery
-        # events (atomic and ordering-neutral on every eventq impl).
-        with rt.fabric.batch():
-            for i, handle in enumerate(self.handles):
-                api.put(
-                    handle,
-                    issue_cost=issue if i == 0 else issue * REPEAT_ISSUE_FACTOR,
-                )
+        for i, handle in enumerate(self.handles):
+            api.put(
+                handle,
+                issue_cost=issue if i == 0 else issue * REPEAT_ISSUE_FACTOR,
+            )
         rt.trace.count("ckdirect.multicasts")

@@ -203,7 +203,6 @@ class CkDirectHandle:
 
     def deliver(self) -> None:
         """The put's last byte arrived: land the data, flip state."""
-        assert self.state is ChannelState.IN_FLIGHT or True  # see api.put
         self._check_landing()
         self.torn_landed = False
         if self.src_buffer is not None:

@@ -57,6 +57,8 @@ from .config import (
 from .network.params import MACHINES
 from .projections.eventlog import EventLog, install_tracer, uninstall_tracer
 from .projections.export import write_chrome_trace
+from .sim.engine import SimulationError
+from .sim.eventq import simulator_class
 from .sim.shm import TransportError
 
 ARTIFACTS = {
@@ -134,7 +136,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--eventq", default=None, metavar="IMPL",
                    choices=list(EVENTQ_CHOICES),
                    help="event-queue implementation: auto (default, "
-                        "compiled core when built, else by workload), "
+                        "compiled core when built, else the heap), "
                         "heap (reference), calendar (pure Python), or "
                         "compiled (default: $REPRO_EVENTQ; output is "
                         "identical for every choice)")
@@ -195,7 +197,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs, shards=args.shards, eventq=args.eventq,
             transport=args.transport, full_scale=args.full_scale or None,
         )
-    except ConfigError as exc:
+        simulator_class(cfg.eventq)  # an unbuilt compiled core fails here
+    except (ConfigError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     with install(cfg):

@@ -21,6 +21,10 @@ For an uncontended transfer the delivery time is exactly
 ``start + pre + alpha + hops·hop + bytes·beta`` — the pingpong
 calibration is independent of the occupancy model.
 
+Each delivery enters the simulator through one plain ``sim.at`` call,
+made at issue time on the serial path and at head-arrival admission in
+engine mode; nothing is deferred or batched.
+
 Intra-node transfers bypass the NIC entirely and use a shared-memory
 latency/bandwidth pair.
 
@@ -38,9 +42,8 @@ transport services the upper layers consume:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional
 
 from ..projections.events import CAT_NET, NET_TRACK
 from ..sim import Entity, Simulator, Trace
@@ -79,8 +82,6 @@ class Fabric(Entity):
         n = topology.n_nodes
         self._tx_free = [0.0] * n
         self._rx_free = [0.0] * n
-        #: deferred (delivery, cb) pairs while inside a batch() block.
-        self._batch: Optional[List[Tuple[float, Callable[[], None]]]] = None
         # --- parallel-engine mode (see repro.sim.parallel) -------------
         #: False = legacy semantics (receiver ejection occupancy charged
         #: at *send* time in global send order).  True = engine
@@ -108,53 +109,6 @@ class Fabric(Entity):
         #: delivery resolver ``(dst_rank, desc) -> None`` installed by
         #: the runtime when engine mode is enabled.
         self._engine_deliver: Optional[Callable] = None
-
-    # ------------------------------------------------------------------
-    # Delivery scheduling (batchable)
-    # ------------------------------------------------------------------
-
-    def _schedule_delivery(self, delivery: float, cb: Callable[[], None]) -> None:
-        """Create the delivery event now, or defer it to the open batch."""
-        if self._batch is None:
-            self.sim.at(delivery, cb)
-        else:
-            self._batch.append((delivery, cb))
-
-    @contextmanager
-    def batch(self):
-        """Defer delivery-event creation for a burst of transfers.
-
-        Multi-put senders (multicast fan-out, a stencil chare's halo
-        puts, multi-packet sends) issue several transfers back to back
-        within one entry-method execution; this context collects their
-        delivery events and admits them with one
-        :meth:`~repro.sim.Simulator.schedule_batch` call on exit.
-
-        Delivery *times* and occupancy accounting are computed exactly
-        as in the unbatched path, at issue time.  Because no simulator
-        event can fire while the issuing handler is still executing,
-        and sequence numbers are assigned in issue order at flush,
-        event ordering is unchanged.  Nested use is a no-op (the
-        outermost batch flushes).
-
-        ``schedule_batch`` is part of the pluggable event-queue
-        surface (:mod:`repro.sim.eventq`): every implementation admits
-        the burst atomically with consecutive sequence numbers, so
-        batching is ordering-neutral under heap, calendar and
-        compiled queues alike.
-        """
-        if self._batch is not None:  # nested: defer to the outer batch
-            yield
-            return
-        self._batch = []
-        try:
-            yield
-        finally:
-            entries, self._batch = self._batch, None
-            if entries:
-                self.sim.schedule_batch(
-                    [(t, cb, ()) for t, cb in entries]
-                )
 
     # ------------------------------------------------------------------
     # Core primitive
@@ -214,7 +168,7 @@ class Fabric(Entity):
                     self.trace_run, NET_TRACK, CAT_NET, "shm_transfer", delivery,
                     args={"src": src, "dst": dst, "bytes": wire_bytes},
                 )
-            self._schedule_delivery(delivery, cb)
+            self.sim.at(delivery, cb)
             return delivery
 
         stream = wire_bytes * beta + lat_extra  # streaming (latency) part
@@ -260,7 +214,7 @@ class Fabric(Entity):
                 args={"src": src, "dst": dst, "bytes": wire_bytes,
                       "injected": start, "latency": delivery - start},
             )
-        self._schedule_delivery(delivery, cb)
+        self.sim.at(delivery, cb)
         return delivery
 
     # ------------------------------------------------------------------

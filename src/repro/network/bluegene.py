@@ -117,7 +117,7 @@ class BGPFabric(Fabric):
         self.trace.count("net.transfers")
         self.trace.count("net.bytes", wire_bytes)
         self.trace.count("bgp.link_routed")
-        self._schedule_delivery(delivery, cb)
+        self.sim.at(delivery, cb)
         return delivery
 
     @property

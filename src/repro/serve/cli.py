@@ -15,6 +15,8 @@ from typing import List, Optional
 
 from ..config import ConfigError, RunConfig, install
 from ..network.params import MACHINES
+from ..sim.engine import SimulationError
+from ..sim.eventq import simulator_class
 from ..sweep.points import POINTS
 
 DEFAULT_PORT = 8642
@@ -63,7 +65,8 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = RunConfig.from_env(jobs=args.jobs_per_run,
                                  sweep_timeout=args.point_timeout)
-    except ConfigError as exc:
+        simulator_class(cfg.eventq)  # an unbuilt compiled core fails here
+    except (ConfigError, SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

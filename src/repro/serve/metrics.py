@@ -14,6 +14,7 @@ import time
 from typing import Dict, Tuple
 
 from ..config import current
+from ..sim.eventq import simulator_class
 from ..sim.trace import RunningStats
 from ..util.stats import LatencyHistogram
 
@@ -39,6 +40,8 @@ class ServeMetrics:
         # Jobs run in this process and in workers forked from it, so
         # the config installed here is the one every job runs with.
         self.config = current()
+        #: the queue implementation jobs run on (``auto`` resolved)
+        self.eventq = simulator_class(self.config.eventq).eventq_name
         # per-(kind, hit|miss) latency
         self._hist: Dict[Tuple[str, str], LatencyHistogram] = {}
         self._stats: Dict[Tuple[str, str], RunningStats] = {}
@@ -81,7 +84,7 @@ class ServeMetrics:
                 "bad_requests": self.bad_requests,
             },
             "engine": {
-                "eventq": self.config.eventq,
+                "eventq": self.eventq,
                 "transport": self.config.transport,
                 "shards": self.config.shards,
                 "jobs": self.config.jobs,

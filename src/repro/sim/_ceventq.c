@@ -3,8 +3,7 @@
  * A CPython C implementation of the simulator hot path: the ladder
  * variant of a calendar queue (sorted current rung drained by index,
  * unsorted future rung, O(1) appends, one sort per refill) plus the
- * schedule / at / schedule_batch / run / run_before loops, and a
- * C-level Event type.
+ * schedule / at / run / run_before loops, and a C-level Event type.
  *
  * Semantics mirror repro.sim.engine.Simulator exactly: events are
  * totally ordered by (time, priority, seq); time arithmetic is IEEE
@@ -13,8 +12,8 @@
  * fallback and DESIGN.md section 10 for the determinism argument.
  *
  * Built optionally (hand-written C99, no Cython/mypyc dependency) by
- * setup.py; repro.sim.eventq falls back to the pure-Python ladder
- * when the module is absent.
+ * setup.py; repro.sim.eventq falls back to the reference heap when
+ * the module is absent.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -63,7 +62,6 @@ typedef struct {
     long long seq;
     PyObject *fn;          /* strong */
     PyObject *args;        /* strong, tuple */
-    PyObject *kwargs;      /* strong dict or NULL (empty) */
     PyObject *sim;         /* strong ref to owning CalSim, or NULL */
     char cancelled;
     char popped;
@@ -102,7 +100,7 @@ static int cevent_numfree = 0;
 
 static CEventObject *
 cevent_new(double time, long priority, long long seq,
-           PyObject *fn, PyObject *args, PyObject *kwargs, PyObject *sim)
+           PyObject *fn, PyObject *args, PyObject *sim)
 {
     CEventObject *ev;
     if (cevent_numfree) {
@@ -121,8 +119,6 @@ cevent_new(double time, long priority, long long seq,
     ev->fn = fn;
     Py_INCREF(args);
     ev->args = args;
-    Py_XINCREF(kwargs);
-    ev->kwargs = kwargs;
     Py_XINCREF(sim);
     ev->sim = sim;
     ev->cancelled = 0;
@@ -137,7 +133,6 @@ cevent_dealloc(CEventObject *self)
     PyObject_GC_UnTrack(self);
     Py_CLEAR(self->fn);
     Py_CLEAR(self->args);
-    Py_CLEAR(self->kwargs);
     Py_CLEAR(self->sim);
     if (cevent_numfree < 64 && Py_TYPE(self) == &CEvent_Type)
         cevent_freelist[cevent_numfree++] = self;
@@ -150,7 +145,6 @@ cevent_traverse(CEventObject *self, visitproc visit, void *arg)
 {
     Py_VISIT(self->fn);
     Py_VISIT(self->args);
-    Py_VISIT(self->kwargs);
     Py_VISIT(self->sim);
     return 0;
 }
@@ -160,7 +154,6 @@ cevent_clear(CEventObject *self)
 {
     Py_CLEAR(self->fn);
     Py_CLEAR(self->args);
-    Py_CLEAR(self->kwargs);
     Py_CLEAR(self->sim);
     return 0;
 }
@@ -184,7 +177,7 @@ cevent_fire(CEventObject *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->cancelled)
         Py_RETURN_NONE;
-    PyObject *res = PyObject_Call(self->fn, self->args, self->kwargs);
+    PyObject *res = PyObject_Call(self->fn, self->args, NULL);
     if (res == NULL)
         return NULL;
     Py_DECREF(res);
@@ -212,15 +205,6 @@ static PyObject *
 cevent_get_cancelled(CEventObject *self, void *closure)
 {
     return PyBool_FromLong(self->cancelled);
-}
-
-static PyObject *
-cevent_get_kwargs(CEventObject *self, void *closure)
-{
-    if (self->kwargs == NULL)
-        Py_RETURN_NONE;
-    Py_INCREF(self->kwargs);
-    return self->kwargs;
 }
 
 static PyObject *
@@ -266,7 +250,6 @@ static PyGetSetDef cevent_getset[] = {
     {"cancelled", (getter)cevent_get_cancelled, NULL,
      "True once cancel() was called.", NULL},
     {"_cancelled", (getter)cevent_get_cancelled, NULL, NULL, NULL},
-    {"kwargs", (getter)cevent_get_kwargs, NULL, NULL, NULL},
     {NULL}
 };
 
@@ -493,45 +476,41 @@ calsim_dealloc(CalSimObject *self)
 /* Scheduling                                                         */
 /* ------------------------------------------------------------------ */
 
+/* The one keyword schedule()/at() accept is priority=; any other is
+ * a TypeError, raised before anything (event or seq) is admitted. */
+static int
+parse_priority(PyObject *kwds, const char *fname, long *priority)
+{
+    *priority = 0;
+    if (kwds == NULL)
+        return 0;
+    Py_ssize_t pos = 0;
+    PyObject *key, *value;
+    while (PyDict_Next(kwds, &pos, &key, &value)) {
+        if (PyUnicode_CompareWithASCIIString(key, "priority") != 0) {
+            PyErr_Format(PyExc_TypeError,
+                         "%s() got an unexpected keyword argument '%S'",
+                         fname, key);
+            return -1;
+        }
+        *priority = PyLong_AsLong(value);
+        if (*priority == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
 /* Shared tail of schedule()/at(): build the event, push, return it. */
 static PyObject *
-schedule_common(CalSimObject *self, double t, PyObject *args,
-                PyObject *kwds)
+schedule_common(CalSimObject *self, double t, long priority, PyObject *args)
 {
-    long priority = 0;
-    PyObject *cb_kwargs = NULL;       /* owned when != NULL */
-    if (kwds != NULL && PyDict_GET_SIZE(kwds) > 0) {
-        PyObject *prio = PyDict_GetItemString(kwds, "priority");
-        if (prio != NULL) {
-            priority = PyLong_AsLong(prio);
-            if (priority == -1 && PyErr_Occurred())
-                return NULL;
-            if (PyDict_GET_SIZE(kwds) > 1) {
-                cb_kwargs = PyDict_Copy(kwds);
-                if (cb_kwargs == NULL)
-                    return NULL;
-                if (PyDict_DelItemString(cb_kwargs, "priority") < 0) {
-                    Py_DECREF(cb_kwargs);
-                    return NULL;
-                }
-            }
-        }
-        else {
-            cb_kwargs = kwds;
-            Py_INCREF(cb_kwargs);
-        }
-    }
-    PyObject *fn = PyTuple_GET_ITEM(args, 1);
     PyObject *cb_args = PyTuple_GetSlice(args, 2, PyTuple_GET_SIZE(args));
-    if (cb_args == NULL) {
-        Py_XDECREF(cb_kwargs);
+    if (cb_args == NULL)
         return NULL;
-    }
     long long seq = self->seq++;
-    CEventObject *ev = cevent_new(t, priority, seq, fn, cb_args,
-                                  cb_kwargs, (PyObject *)self);
+    CEventObject *ev = cevent_new(t, priority, seq, PyTuple_GET_ITEM(args, 1),
+                                  cb_args, (PyObject *)self);
     Py_DECREF(cb_args);
-    Py_XDECREF(cb_kwargs);
     if (ev == NULL) {
         self->seq--;
         return NULL;
@@ -550,6 +529,9 @@ schedule_common(CalSimObject *self, double t, PyObject *args,
 static PyObject *
 calsim_schedule(CalSimObject *self, PyObject *args, PyObject *kwds)
 {
+    long priority;
+    if (parse_priority(kwds, "schedule", &priority) < 0)
+        return NULL;
     if (PyTuple_GET_SIZE(args) < 2) {
         PyErr_SetString(PyExc_TypeError,
                         "schedule() requires (delay, fn, ...)");
@@ -563,12 +545,15 @@ calsim_schedule(CalSimObject *self, PyObject *args, PyObject *kwds)
                      PyTuple_GET_ITEM(args, 0));
         return NULL;
     }
-    return schedule_common(self, self->now + delay, args, kwds);
+    return schedule_common(self, self->now + delay, priority, args);
 }
 
 static PyObject *
 calsim_at(CalSimObject *self, PyObject *args, PyObject *kwds)
 {
+    long priority;
+    if (parse_priority(kwds, "at", &priority) < 0)
+        return NULL;
     if (PyTuple_GET_SIZE(args) < 2) {
         PyErr_SetString(PyExc_TypeError, "at() requires (time, fn, ...)");
         return NULL;
@@ -584,87 +569,7 @@ calsim_at(CalSimObject *self, PyObject *args, PyObject *kwds)
         Py_XDECREF(nowf);
         return NULL;
     }
-    return schedule_common(self, t, args, kwds);
-}
-
-static PyObject *
-calsim_schedule_batch(CalSimObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"entries", "priority", NULL};
-    PyObject *entries;
-    long priority = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|l", kwlist,
-                                     &entries, &priority))
-        return NULL;
-    PyObject *seq_list = PySequence_Fast(entries, "entries must be iterable");
-    if (seq_list == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq_list);
-    PyObject **items = PySequence_Fast_ITEMS(seq_list);
-    /* Validate and stage first: a failed batch must admit nothing
-     * (neither queue nor sequence counter may move). */
-    PyObject *events = PyList_New(n);
-    if (events == NULL) {
-        Py_DECREF(seq_list);
-        return NULL;
-    }
-    double now = self->now;
-    long long seq = self->seq;
-    Py_ssize_t done = 0;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *item = items[i];
-        if (!PyTuple_Check(item) || PyTuple_GET_SIZE(item) != 3) {
-            PyErr_SetString(PyExc_TypeError,
-                            "batch entries must be (time, fn, args) tuples");
-            goto fail;
-        }
-        double t = PyFloat_AsDouble(PyTuple_GET_ITEM(item, 0));
-        if (t == -1.0 && PyErr_Occurred())
-            goto fail;
-        if (!(t >= now)) {
-            PyObject *nowf = PyFloat_FromDouble(now);
-            PyErr_Format(SimulationError,
-                         "cannot schedule in the past: t=%R < now=%R",
-                         PyTuple_GET_ITEM(item, 0), nowf);
-            Py_XDECREF(nowf);
-            goto fail;
-        }
-        PyObject *cb_args = PyTuple_GET_ITEM(item, 2);
-        if (!PyTuple_Check(cb_args)) {
-            PyErr_SetString(PyExc_TypeError,
-                            "batch entry args must be a tuple");
-            goto fail;
-        }
-        CEventObject *ev = cevent_new(t, priority, seq + i,
-                                      PyTuple_GET_ITEM(item, 1),
-                                      cb_args,
-                                      NULL, (PyObject *)self);
-        if (ev == NULL)
-            goto fail;
-        PyList_SET_ITEM(events, i, (PyObject *)ev);
-        done = i + 1;
-    }
-    /* Commit. */
-    self->seq = seq + n;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        CEventObject *ev = (CEventObject *)PyList_GET_ITEM(events, i);
-        Entry e = {ev->time, ev->priority, ev->seq, (PyObject *)ev};
-        Py_INCREF(ev);
-        if (queue_push(self, &e) < 0) {
-            /* OOM mid-commit: drop the uncommitted remainder. */
-            Py_DECREF(ev);
-            Py_DECREF(seq_list);
-            Py_DECREF(events);
-            return NULL;
-        }
-    }
-    Py_DECREF(seq_list);
-    return events;
-fail:
-    (void)done;
-    Py_DECREF(seq_list);
-    Py_DECREF(events);
-    return NULL;
+    return schedule_common(self, t, priority, args);
 }
 
 /* ------------------------------------------------------------------ */
@@ -674,7 +579,7 @@ fail:
 static int
 fire_event(CEventObject *ev)
 {
-    PyObject *res = PyObject_Call(ev->fn, ev->args, ev->kwargs);
+    PyObject *res = PyObject_Call(ev->fn, ev->args, NULL);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -910,12 +815,9 @@ static PyGetSetDef calsim_getset[] = {
 static PyMethodDef calsim_methods[] = {
     {"schedule", (PyCFunction)calsim_schedule,
      METH_VARARGS | METH_KEYWORDS,
-     "schedule(delay, fn, *args, priority=0, **kwargs) -> Event"},
+     "schedule(delay, fn, *args, priority=0) -> Event"},
     {"at", (PyCFunction)calsim_at, METH_VARARGS | METH_KEYWORDS,
-     "at(time, fn, *args, priority=0, **kwargs) -> Event"},
-    {"schedule_batch", (PyCFunction)calsim_schedule_batch,
-     METH_VARARGS | METH_KEYWORDS,
-     "schedule_batch(entries, priority=0) -> list[Event]"},
+     "at(time, fn, *args, priority=0) -> Event"},
     {"run", (PyCFunction)calsim_run, METH_VARARGS | METH_KEYWORDS,
      "run(until=None, max_events=None)"},
     {"run_before", (PyCFunction)calsim_run_before, METH_O,

@@ -29,13 +29,15 @@ per event is first-order for wall-clock time (see
   :meth:`Event.__lt__` dispatch (``seq`` is unique, so the trailing
   event object is never compared);
 * :meth:`run` binds the heap and ``heappop`` to locals and has a
-  dedicated no-``until``/no-``max_events`` loop (the common case) with
-  a no-kwargs callback fast path;
+  dedicated no-``until``/no-``max_events`` loop (the common case);
+* callbacks take positional arguments only, so every loop fires
+  ``ev.fn(*ev.args)`` with no keyword unpacking;
 * cancelled events are counted exactly (:attr:`pending_active`) and
   compacted *lazily*: the heap is rebuilt only when cancelled entries
-  dominate it, so workloads that rarely cancel never pay for it;
-* :meth:`schedule_batch` admits a burst of callbacks in one call —
-  used by the fabric layer for multi-put/multi-packet send bursts.
+  dominate it, so workloads that rarely cancel never pay for it.
+
+:meth:`at` and :meth:`schedule` are the only ways an event enters the
+queue.
 
 This class is also the *reference implementation* of the pluggable
 event-queue layer: :mod:`repro.sim.eventq` provides a calendar-queue
@@ -47,7 +49,7 @@ pop order bit-for-bit.  Construct through
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from .event import Event
 
@@ -123,9 +125,8 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        **kwargs: Any,
     ) -> Event:
-        """Schedule ``fn(*args, **kwargs)`` to run ``delay`` seconds from now.
+        """Schedule ``fn(*args)`` to run ``delay`` seconds from now.
 
         ``delay`` must be non-negative; a zero delay fires after all
         events already scheduled for the current instant at equal
@@ -133,7 +134,7 @@ class Simulator:
         """
         if not (delay >= 0):  # rejects negatives and NaN
             raise SimulationError(f"negative delay: {delay!r}")
-        return self.at(self._now + delay, fn, *args, priority=priority, **kwargs)
+        return self.at(self._now + delay, fn, *args, priority=priority)
 
     def at(
         self,
@@ -141,63 +142,17 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-        **kwargs: Any,
     ) -> Event:
-        """Schedule ``fn`` at an absolute simulated time."""
+        """Schedule ``fn(*args)`` at an absolute simulated time."""
         if not (time >= self._now):  # rejects past times and NaN
             raise SimulationError(
                 f"cannot schedule in the past: t={time!r} < now={self._now!r}"
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args, kwargs, self)
+        ev = Event(time, priority, seq, fn, args, self)
         heapq.heappush(self._heap, (time, priority, seq, ev))
         return ev
-
-    def schedule_batch(
-        self,
-        entries: Iterable[Tuple[float, Callable[..., Any], tuple]],
-        priority: int = 0,
-    ) -> List[Event]:
-        """Schedule a burst of ``(time, fn, args)`` callbacks in one call.
-
-        ``time`` is absolute, as in :meth:`at`.  Sequence numbers are
-        assigned in iteration order, so ties fire exactly as if each
-        entry had been scheduled by an individual :meth:`at` call.  For
-        bursts that rival the heap in size the whole heap is rebuilt
-        with one O(n) ``heapify`` instead of k O(log n) sifts; either
-        way the per-entry Python overhead (argument processing, kwargs
-        dict handling) of repeated :meth:`at` calls is skipped.  Used
-        by the fabrics for multi-put / multi-packet send bursts.
-
-        A past (or NaN) time raises :class:`SimulationError` exactly as
-        :meth:`at` does, and the rejection is atomic: neither the heap
-        nor the sequence counter is touched, so a failed batch admits
-        nothing.
-        """
-        now = self._now
-        heap = self._heap
-        seq = self._seq
-        events: List[Event] = []
-        batch: List[Tuple[float, int, int, Event]] = []
-        for time, fn, args in entries:
-            if not (time >= now):  # rejects past times and NaN
-                raise SimulationError(
-                    f"cannot schedule in the past: t={time!r} < now={now!r}"
-                )
-            ev = Event(time, priority, seq, fn, args, None, self)
-            batch.append((time, priority, seq, ev))
-            events.append(ev)
-            seq += 1
-        self._seq = seq
-        if len(batch) * 8 > len(heap):
-            heap.extend(batch)
-            heapq.heapify(heap)
-        else:
-            push = heapq.heappush
-            for entry in batch:
-                push(heap, entry)
-        return events
 
     # ------------------------------------------------------------------
     # Cancellation accounting
@@ -220,8 +175,8 @@ class Simulator:
         are needed on the removed entries.
 
         The heap list is compacted *in place*: :meth:`run`,
-        :meth:`step`, and :meth:`schedule_batch` hold local aliases to
-        it across event execution, and cancellation (hence compaction)
+        :meth:`run_before` and :meth:`step` hold local aliases to it
+        across event execution, and cancellation (hence compaction)
         can happen inside an event callback.  Rebinding ``self._heap``
         here would strand those aliases on the stale list and the run
         loop would return with pending events.
@@ -284,11 +239,7 @@ class Simulator:
                 ev._popped = True
                 self._now = entry[0]
                 fired += 1
-                kw = ev.kwargs
-                if kw is None:
-                    ev.fn(*ev.args)
-                else:
-                    ev.fn(*ev.args, **kw)
+                ev.fn(*ev.args)
         finally:
             self._events_processed += fired
             self._running = False
@@ -304,10 +255,7 @@ class Simulator:
                 continue
             self._now = ev.time
             self._events_processed += 1
-            if ev.kwargs is None:
-                ev.fn(*ev.args)
-            else:
-                ev.fn(*ev.args, **ev.kwargs)
+            ev.fn(*ev.args)
             return True
         return False
 
@@ -339,11 +287,7 @@ class Simulator:
                         continue
                     self._now = time
                     fired += 1
-                    kw = ev.kwargs
-                    if kw is None:
-                        ev.fn(*ev.args)
-                    else:
-                        ev.fn(*ev.args, **kw)
+                    ev.fn(*ev.args)
                 return
             while heap:
                 if max_events is not None and fired >= max_events:
@@ -362,10 +306,7 @@ class Simulator:
                 ev._popped = True
                 self._now = entry[0]
                 fired += 1
-                if ev.kwargs is None:
-                    ev.fn(*ev.args)
-                else:
-                    ev.fn(*ev.args, **ev.kwargs)
+                ev.fn(*ev.args)
             if until is not None and until > self._now:
                 self._now = until
         finally:

@@ -27,11 +27,9 @@ class Entity:
         """Current simulated time in seconds."""
         return self.sim.now
 
-    def after(
-        self, delay: float, fn: Callable[..., Any], *args: Any, **kwargs: Any
-    ) -> Event:
-        """Schedule ``fn`` ``delay`` seconds from now."""
-        return self.sim.schedule(delay, fn, *args, **kwargs)
+    def after(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now."""
+        return self.sim.schedule(delay, fn, *args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r}>"

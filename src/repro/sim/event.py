@@ -46,7 +46,7 @@ class Event:
     """
 
     __slots__ = (
-        "time", "priority", "seq", "fn", "args", "kwargs",
+        "time", "priority", "seq", "fn", "args",
         "_cancelled", "_popped", "_sim",
     )
 
@@ -57,7 +57,6 @@ class Event:
         seq: int,
         fn: Callable[..., Any],
         args: tuple,
-        kwargs: Optional[dict],
         sim: Optional["Simulator"] = None,
     ) -> None:
         self.time = time
@@ -65,9 +64,6 @@ class Event:
         self.seq = seq
         self.fn = fn
         self.args = args
-        # None (not {}) when there are no kwargs: lets the engine's run
-        # loop skip the ``**`` unpacking entirely on the common path.
-        self.kwargs = kwargs if kwargs else None
         self._cancelled = False
         self._popped = False  # True once removed from the heap
         self._sim = sim
@@ -105,10 +101,7 @@ class Event:
     def fire(self) -> None:
         """Invoke the callback unless cancelled."""
         if not self._cancelled:
-            if self.kwargs is None:
-                self.fn(*self.args)
-            else:
-                self.fn(*self.args, **self.kwargs)
+            self.fn(*self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         name = getattr(self.fn, "__qualname__", repr(self.fn))

@@ -4,12 +4,13 @@ One large run is partitioned across N worker processes ("shards"), each
 owning a contiguous block of *nodes* (see
 :func:`repro.network.topology.shard_nodes`) and running its own
 simulator over the full replicated runtime.  The engine is
-event-queue-agnostic: it drives each shard only through the
-``next_event_time()`` / ``run_before(bound)`` / ``schedule_batch``
-surface, which every :mod:`repro.sim.eventq` implementation (heap,
-calendar, compiled) honors with the same ``(time, priority, seq)``
-pop order — so ``--eventq`` composes freely with ``--shards`` and the
-bit-identity guarantee below is unchanged.  Worker processes fork from
+event-queue-agnostic: it drives each shard only through
+``next_event_time()`` and ``run_before(bound)``, and admits exchanged
+records through the fabric's ordinary ``at`` calls, which every
+:mod:`repro.sim.eventq` implementation (heap, calendar, compiled)
+honors with the same ``(time, priority, seq)`` pop order — so
+``--eventq`` composes freely with ``--shards`` and the bit-identity
+guarantee below is unchanged.  Worker processes fork from
 the coordinator's runtime, so all shards run the same queue.
 Shards advance in lock-step **epoch windows**:
 

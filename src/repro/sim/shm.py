@@ -236,10 +236,6 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 
-def _align8(n: int) -> int:
-    return (n + 7) & ~7
-
-
 class _Ring:
     """One direction of a channel: an SPSC byte ring over one shared
     segment.  The object is built before the fork and inherited by

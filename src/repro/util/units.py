@@ -79,11 +79,6 @@ def MB_per_s(x: float) -> float:
     return 1.0 / (x * 1e6)
 
 
-def per_byte_us(x: float) -> float:
-    """Microseconds-per-byte → seconds-per-byte."""
-    return x * 1e-6
-
-
 def fmt_bytes(n: int) -> str:
     """Human-readable byte count using the paper's decimal convention."""
     if n >= 1_000_000:

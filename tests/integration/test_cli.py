@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import repro.sim.eventq as eventq_mod
 from repro import cli
 from repro.cli import main
 from repro.config import current
@@ -235,6 +236,35 @@ def test_serve_rejects_malformed_env_before_binding(monkeypatch, capsys, var):
     assert serve_main(["--port", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {var} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_unbuilt_compiled_core_fails_before_any_run(monkeypatch, capsys, how):
+    monkeypatch.setattr(eventq_mod, "_ceventq", None)
+    monkeypatch.setattr(cli, "_run_pingpong", _must_not_run)
+    argv = ["pingpong", "--iterations", "5"]
+    if how == "flag":
+        argv += ["--eventq", "compiled"]
+    else:
+        monkeypatch.setenv("REPRO_EVENTQ", "compiled")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eventq=compiled but ")
+    assert captured.err.count("\n") == 1
+
+
+def test_serve_rejects_unbuilt_compiled_core_before_binding(monkeypatch, capsys):
+    import repro.serve.app as serve_app
+    from repro.serve.cli import serve_main
+
+    monkeypatch.setattr(eventq_mod, "_ceventq", None)
+    monkeypatch.setattr(serve_app, "ServeApp", _must_not_run)
+    monkeypatch.setattr(serve_app, "serve_forever", _must_not_run)
+    monkeypatch.setenv("REPRO_EVENTQ", "compiled")
+    assert serve_main(["--port", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eventq=compiled but ") and err.count("\n") == 1
 
 
 def test_list_includes_service_commands(capsys):

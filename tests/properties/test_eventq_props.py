@@ -2,43 +2,32 @@
 
 The load-bearing claim behind ``--eventq`` being a pure wall-clock
 knob: every implementation pops the identical ``(time, priority,
-seq)`` sequence under arbitrary interleavings of ``schedule``,
-``schedule_batch`` and ``cancel`` — including operations performed
-*from inside running callbacks*, which is where the calendar queue's
-mid-rung insort and in-place compaction paths live.  Rejection
-atomicity is part of the contract too: a failed batch must leave
-queue state (and the sequence counter, which feeds tie-breaking)
-untouched on every implementation.
+seq)`` sequence under arbitrary interleavings of ``schedule`` and
+``cancel`` — including operations performed *from inside running
+callbacks*, which is where the calendar queue's mid-rung insort and
+in-place compaction paths live.
 """
-
-import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.eventq import (
-    AutoSimulator,
     CalendarSimulator,
     CompiledSimulator,
     compiled_available,
 )
 
-IMPLS = [CalendarSimulator, AutoSimulator]
+IMPLS = [CalendarSimulator]
 if compiled_available():
     IMPLS.append(CompiledSimulator)
 
 # An op either runs at the top level or inside a driver callback:
 #   ("schedule", delay, priority)
-#   ("batch", [offsets...], priority)
 #   ("cancel", index-into-created-events)
 _op = st.one_of(
     st.tuples(st.just("schedule"),
               st.floats(min_value=0.0, max_value=2e-5, allow_nan=False),
-              st.integers(min_value=-2, max_value=2)),
-    st.tuples(st.just("batch"),
-              st.lists(st.floats(min_value=0.0, max_value=2e-5,
-                                 allow_nan=False), min_size=1, max_size=6),
               st.integers(min_value=-2, max_value=2)),
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
 )
@@ -62,14 +51,6 @@ def _execute(sim_factory, prog):
             _, delay, prio = op
             created.append(
                 sim.schedule(delay, leaf, len(created), priority=prio))
-        elif kind == "batch":
-            _, offsets, prio = op
-            base = len(created)
-            created.extend(sim.schedule_batch(
-                [(sim.now + off, leaf, (base + j,))
-                 for j, off in enumerate(offsets)],
-                priority=prio,
-            ))
         else:
             _, idx = op
             if created:
@@ -108,35 +89,6 @@ def test_step_drain_matches_run(prog, steps):
     reference = stepped(Simulator)
     for impl in IMPLS:
         assert stepped(impl) == reference, impl.__name__
-
-
-@given(st.lists(st.floats(min_value=0.0, max_value=1e-4, allow_nan=False),
-                min_size=1, max_size=10),
-       st.integers(min_value=0, max_value=9))
-@settings(max_examples=60, deadline=None)
-def test_nan_in_batch_is_atomic_everywhere(offsets, nan_at):
-    """A NaN anywhere in a batch rejects the whole batch, leaving
-    state byte-equivalent to never having submitted it."""
-    poisoned = list(offsets)
-    poisoned.insert(min(nan_at, len(poisoned)), math.nan)
-
-    def attempt(factory):
-        sim = factory()
-        sim.schedule(1e-6, lambda: None)
-        try:
-            sim.schedule_batch([(t, lambda: None, ()) for t in poisoned])
-            raise AssertionError("NaN batch must be rejected")
-        except SimulationError:
-            pass
-        # after rejection the sim behaves as if the batch never happened
-        fired = []
-        sim.schedule_batch([(2e-6, fired.append, (j,)) for j in range(3)])
-        sim.run()
-        return fired, sim.events_processed, sim.pending
-
-    reference = attempt(Simulator)
-    for impl in IMPLS:
-        assert attempt(impl) == reference, impl.__name__
 
 
 @given(programs)

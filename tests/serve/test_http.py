@@ -11,7 +11,9 @@ import time
 
 import pytest
 
+from repro.charm.runtime import Runtime
 from repro.config import current, install
+from repro.network.params import MACHINES
 from repro.serve import (
     Backpressure,
     ServeApp,
@@ -19,6 +21,8 @@ from repro.serve import (
     ServeClientError,
     ServerThread,
 )
+from repro.serve.metrics import ServeMetrics
+from repro.sim.eventq import make_simulator
 from repro.sweep import register_point
 
 
@@ -201,5 +205,15 @@ def test_metrics_report_the_installed_config(tmp_path):
     assert (engine["shards"], engine["jobs"], engine["shard_deadline"]) \
         == (2, 3, 45.0)
     assert (engine["eventq"], engine["transport"]) \
-        == (cfg.eventq, cfg.transport)
+        == (make_simulator(cfg.eventq).eventq_name, cfg.transport)
     assert "mode" not in engine
+
+
+def test_metrics_report_the_queue_jobs_run_on():
+    """``engine.eventq`` names the implementation a job's runtime is
+    built on (``auto`` resolved by the build), not the knob's spelling."""
+    with install(current().replace(eventq="auto")):
+        reported = ServeMetrics().to_dict()["engine"]["eventq"]
+        built = Runtime(MACHINES["Abe"], 2).sim.eventq_name
+    assert reported == built
+    assert reported in ("heap", "calendar-c")

@@ -159,14 +159,6 @@ def test_drain_raises_on_runaway():
         sim.drain(max_events=100)
 
 
-def test_kwargs_passed_through():
-    sim = Simulator()
-    got = {}
-    sim.schedule(1e-6, lambda **kw: got.update(kw), a=1, b="x")
-    sim.run()
-    assert got == {"a": 1, "b": "x"}
-
-
 def test_determinism_across_runs():
     def run_once():
         sim = Simulator()
@@ -180,7 +172,7 @@ def test_determinism_across_runs():
 
 
 # ---------------------------------------------------------------------------
-# Hot-path optimization: pending_active, schedule_batch, lazy compaction
+# Hot-path optimization: pending_active, lazy compaction
 # ---------------------------------------------------------------------------
 
 
@@ -234,56 +226,6 @@ def test_drain_ignores_cancelled_leftovers():
     assert keep.cancelled is False
 
 
-def test_schedule_batch_orders_like_individual_at():
-    def run(batched: bool):
-        sim = Simulator()
-        order = []
-        entries = [(3e-6, order.append, ("c",)),
-                   (1e-6, order.append, ("a",)),
-                   (2e-6, order.append, ("b",)),
-                   (1e-6, order.append, ("a2",))]
-        if batched:
-            sim.schedule_batch(entries)
-        else:
-            for t, fn, args in entries:
-                sim.at(t, fn, *args)
-        sim.run()
-        return order
-
-    assert run(True) == run(False) == ["a", "a2", "b", "c"]
-
-
-def test_schedule_batch_ties_follow_issue_order():
-    sim = Simulator()
-    order = []
-    sim.at(1e-6, order.append, "pre")
-    sim.schedule_batch([(1e-6, order.append, (f"b{i}",)) for i in range(5)])
-    sim.at(1e-6, order.append, "post")
-    sim.run()
-    assert order == ["pre", "b0", "b1", "b2", "b3", "b4", "post"]
-
-
-def test_schedule_batch_rejects_past_times():
-    sim = Simulator()
-    sim.schedule(1e-6, lambda: None)
-    sim.run()
-    assert sim.now == 1e-6
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(0.5e-6, lambda: None, ())])
-
-
-def test_schedule_batch_large_heapify_path():
-    # A batch much larger than the resident heap takes the heapify branch.
-    sim = Simulator()
-    sim.schedule(1e-3, lambda: None)
-    order = []
-    n = 200
-    sim.schedule_batch([((n - i) * 1e-6, order.append, (n - i,)) for i in range(n)])
-    sim.run()
-    assert order == sorted(order)
-    assert sim.events_processed == n + 1
-
-
 def test_lazy_compaction_shrinks_heap():
     sim = Simulator()
     far = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(300)]
@@ -334,7 +276,7 @@ def test_compaction_inside_run_does_not_strand_the_loop():
 
 
 # ---------------------------------------------------------------------------
-# NaN / negative-delay rejection (the schedule_batch parity bugfix)
+# NaN / negative-delay rejection
 # ---------------------------------------------------------------------------
 
 
@@ -348,38 +290,6 @@ def test_at_rejects_nan_time():
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.at(float("nan"), lambda: None)
-
-
-def test_schedule_batch_rejects_nan_time():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(float("nan"), lambda: None, ())])
-
-
-def test_schedule_batch_rejects_negative_time():
-    """Regression: a batch entry before ``now`` used to heap an event
-    in the past (rewinding ``now`` when it fired); it must raise
-    exactly as ``schedule``/``at`` do."""
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(-1e-9, lambda: None, ())])
-
-
-def test_schedule_batch_rejection_is_atomic():
-    # A failed batch admits nothing: the heap and the tie-break
-    # sequence counter are exactly as before the call.
-    sim = Simulator()
-    fired = []
-    sim.at(2e-6, fired.append, "pre")
-    seq_before = sim._seq
-    with pytest.raises(SimulationError):
-        sim.schedule_batch([(3e-6, fired.append, ("ok",)),
-                            (-1e-6, fired.append, ("bad",))])
-    assert sim.pending == 1
-    assert sim._seq == seq_before
-    sim.at(2e-6, fired.append, "post")
-    sim.run()
-    assert fired == ["pre", "post"]
 
 
 # ---------------------------------------------------------------------------
@@ -454,41 +364,26 @@ def test_run_before_counts_events_and_skips_cancelled():
 
 
 # ---------------------------------------------------------------------------
-# schedule_batch x priority x in-callback cancellation across _compact
+# Event bursts x priority x in-callback cancellation across _compact
 # ---------------------------------------------------------------------------
 
 
-def test_schedule_batch_priority_orders_within_tie():
-    sim = Simulator()
-    order = []
-    sim.schedule_batch([(1e-6, order.append, ("n0",)),
-                        (1e-6, order.append, ("n1",))])
-    sim.schedule_batch([(1e-6, order.append, ("u0",)),
-                        (1e-6, order.append, ("u1",))], priority=-1)
-    sim.run()
-    assert order == ["u0", "u1", "n0", "n1"]
-
-
 def test_batch_events_survive_in_callback_compaction():
-    """Batch-admitted events (including urgent-priority ones) must
-    survive a compaction triggered from inside a callback, fire in
-    order, and honour in-callback cancellation of batch members."""
+    """A burst of events scheduled back to back (including an
+    urgent-priority one) must survive a compaction triggered from
+    inside a callback, fire in order, and honour in-callback
+    cancellation of burst members."""
     sim = Simulator()
     fired = []
     victims = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(200)]
-    batch = sim.schedule_batch(
-        [(2.0 + i * 1e-6, fired.append, (i,)) for i in range(10)]
-    )
-    urgent = sim.schedule_batch(
-        [(2.0, fired.append, ("u",))], priority=-1
-    )
-    assert urgent
+    batch = [sim.at(2.0 + i * 1e-6, fired.append, i) for i in range(10)]
+    sim.at(2.0, fired.append, "u", priority=-1)
 
     def cancel_and_cull():
         for ev in victims:  # > half the heap: compacts at least once
             ev.cancel()
-        batch[3].cancel()   # a batch member, after the compaction
-        sim.schedule_batch([(3.0, fired.append, ("late",))])
+        batch[3].cancel()   # a burst member, after the compaction
+        sim.at(3.0, fired.append, "late")
 
     sim.schedule(1e-6, cancel_and_cull)
     sim.run()
@@ -498,13 +393,12 @@ def test_batch_events_survive_in_callback_compaction():
 
 
 def test_batch_member_cancelled_before_compaction_stays_dead():
-    # Cancel a batch member first, then trigger compaction from a
+    # Cancel a burst member first, then trigger compaction from a
     # callback: the tombstone must not resurrect or double-count.
     sim = Simulator()
     fired = []
-    batch = sim.schedule_batch(
-        [(2.0 + i * 1e-6, fired.append, (i,)) for i in range(6)], priority=-2
-    )
+    batch = [sim.at(2.0 + i * 1e-6, fired.append, i, priority=-2)
+             for i in range(6)]
     batch[0].cancel()
     victims = [sim.schedule(1.0 + i * 1e-6, lambda: None) for i in range(200)]
 

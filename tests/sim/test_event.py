@@ -4,7 +4,7 @@ from repro.sim.event import Event
 
 
 def _ev(time, priority=0, seq=0):
-    return Event(time, priority, seq, lambda: None, (), None)
+    return Event(time, priority, seq, lambda: None, ())
 
 
 def test_ordering_by_time():
@@ -28,16 +28,16 @@ def test_cancel_is_idempotent():
     assert ev.cancelled
 
 
-def test_fire_invokes_with_args_and_kwargs():
+def test_fire_invokes_with_args():
     got = []
-    ev = Event(0.0, 0, 0, lambda *a, **k: got.append((a, k)), (1, 2), {"x": 3})
+    ev = Event(0.0, 0, 0, lambda *a: got.append(a), (1, 2))
     ev.fire()
-    assert got == [((1, 2), {"x": 3})]
+    assert got == [(1, 2)]
 
 
 def test_cancelled_event_does_not_fire():
     got = []
-    ev = Event(0.0, 0, 0, got.append, ("x",), None)
+    ev = Event(0.0, 0, 0, got.append, ("x",))
     ev.cancel()
     ev.fire()
     assert got == []

@@ -1,11 +1,12 @@
 """Unit tests for the pluggable event-queue layer.
 
-Every implementation — heap reference, pure-Python calendar, the
-compiled core when built, and the auto selector — must honor the
-complete :class:`~repro.sim.engine.Simulator` contract: pop order,
-rejection semantics, ``run``/``run_before``/``step``/
-``next_event_time`` behavior, cancellation accounting, and settable
-``_now`` (the parallel engine's final-merge path writes it).
+Every implementation — heap reference, pure-Python calendar, and the
+compiled core when built — must honor the complete
+:class:`~repro.sim.engine.Simulator` contract: pop order, rejection
+semantics (``at``/``schedule`` take ``priority`` as their only
+keyword), ``run``/``run_before``/``step``/``next_event_time``
+behavior, cancellation accounting, and settable ``_now`` (the
+parallel engine's final-merge path writes it).
 
 The mass-cancel regression here mirrors the heap engine's ``_compact``
 fix: compaction triggered *from inside a running callback* must mutate
@@ -21,7 +22,6 @@ import repro.sim.eventq as eventq_mod
 from repro.config import EVENTQ_CHOICES, ConfigError, current, install
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.eventq import (
-    AutoSimulator,
     CalendarSimulator,
     CompiledSimulator,
     compiled_available,
@@ -29,7 +29,7 @@ from repro.sim.eventq import (
     make_simulator,
 )
 
-IMPLS = [Simulator, CalendarSimulator, AutoSimulator]
+IMPLS = [Simulator, CalendarSimulator]
 if compiled_available():
     IMPLS.append(CompiledSimulator)
 
@@ -73,25 +73,40 @@ def test_at_rejects_past_and_nan(sim):
         sim.at(math.nan, lambda: None)
 
 
-def test_schedule_batch_is_atomic_on_rejection(sim):
-    sim.schedule(1e-6, lambda: None)
-    before = sim.pending
-    with pytest.raises(SimulationError, match="past"):
-        sim.schedule_batch([
-            (2e-6, lambda: None, ()),
-            (math.nan, lambda: None, ()),
-        ])
-    assert sim.pending == before  # nothing from the failed batch landed
+@pytest.mark.parametrize("call", ["at", "schedule"])
+def test_keywords_other_than_priority_raise_and_admit_nothing(sim, call):
+    """``priority`` is the only keyword ``at``/``schedule`` accept; any
+    other is a TypeError that queues nothing and consumes no seq."""
     fired = []
-    sim.schedule_batch([(3e-6, fired.append, ("b0",)),
-                       (2e-6, fired.append, ("b1",))])
+    before = sim.at(1e-6, fired.append, "pre")
+    pending = sim.pending
+    with pytest.raises(TypeError):
+        getattr(sim, call)(2e-6, fired.append, "x", tag=1)
+    with pytest.raises(TypeError):
+        getattr(sim, call)(2e-6, fired.append, "x", priority=-1, tag=1)
+    assert sim.pending == pending
+    after = sim.at(2e-6, fired.append, "post")
+    assert after.seq == before.seq + 1
     sim.run()
-    assert fired == ["b1", "b0"]
+    assert fired == ["pre", "post"]
+
+
+def test_rejected_time_admits_nothing(sim):
+    before = sim.at(1e-6, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.at(math.nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule(-1e-9, lambda: None)
+    assert sim.pending == 1
+    assert sim.at(2e-6, lambda: None).seq == before.seq + 1
 
 
 def test_batch_tiebreak_is_submission_order(sim):
+    """A burst of same-instant ``at`` calls (a handler's back-to-back
+    puts) fires in submission order."""
     fired = []
-    sim.schedule_batch([(1e-6, fired.append, (i,)) for i in range(8)])
+    for i in range(8):
+        sim.at(1e-6, fired.append, i)
     sim.run()
     assert fired == list(range(8))
 
@@ -244,15 +259,15 @@ def test_long_rung_trims_consumed_prefix():
     sim = CalendarSimulator()
     n = eventq_mod._TRIM_POS + 512
     fired = []
-    sim.schedule_batch([(1e-6 + i * 1e-9, fired.append, (i,))
-                        for i in range(n)])
+    for i in range(n):
+        sim.at(1e-6 + i * 1e-9, fired.append, i)
     sim.run()
     assert fired == list(range(n))
     assert sim.pending == 0
 
 
 # ---------------------------------------------------------------------------
-# Selection: make_simulator / auto commitment
+# Selection: make_simulator, auto as a build-time choice
 # ---------------------------------------------------------------------------
 
 
@@ -273,15 +288,15 @@ def test_make_simulator_types(monkeypatch):
         assert type(auto) is CompiledSimulator
         assert type(make_simulator("compiled")) is CompiledSimulator
     else:
-        assert type(auto) is AutoSimulator
+        assert type(auto) is Simulator
 
 
 def test_compiled_request_without_build_raises(monkeypatch):
     monkeypatch.setattr(eventq_mod, "_ceventq", None)
     with pytest.raises(SimulationError, match="not.*built"):
         make_simulator("compiled")
-    # auto degrades silently instead
-    assert type(make_simulator("auto")) is AutoSimulator
+    # auto degrades silently to the heap instead
+    assert type(make_simulator("auto")) is Simulator
 
 
 def test_eventq_names():
@@ -291,45 +306,3 @@ def test_eventq_names():
     if compiled_available():
         assert CompiledSimulator().eventq_name == "calendar-c"
     assert set(EVENTQ_CHOICES) == {"auto", "heap", "calendar", "compiled"}
-
-
-def test_auto_commits_to_heap_for_small_workloads():
-    sim = AutoSimulator()
-    for i in range(10):
-        sim.schedule(1e-6 * (i + 1), lambda: None)
-    sim.run()
-    assert type(sim) is Simulator
-    assert sim.eventq_name == "heap"
-    assert sim.events_processed == 10
-
-
-def test_auto_commits_to_calendar_for_large_workloads():
-    sim = AutoSimulator()
-    n = eventq_mod._AUTO_PENDING
-    fired = []
-    for i in range(n):
-        sim.schedule(1e-6 + i * 1e-9, fired.append, i)
-    sim.run()
-    assert type(sim) is CalendarSimulator
-    assert sim.eventq_name == "calendar"
-    assert fired == list(range(n))
-    # the committed instance keeps working as a calendar simulator
-    sim.schedule(1e-6, fired.append, "post")
-    sim.run()
-    assert fired[-1] == "post"
-
-
-def test_auto_commit_preserves_pop_order_and_cancels():
-    ref, auto = Simulator(), AutoSimulator()
-    for s in (ref, auto):
-        evs = [s.schedule(1e-6 + (i % 7) * 1e-7, lambda: None, priority=i % 3)
-               for i in range(eventq_mod._AUTO_PENDING + 50)]
-        for ev in evs[::5]:
-            ev.cancel()
-    order_ref, order_auto = [], []
-    while ref.step():
-        order_ref.append(ref.now)
-    while auto.step():
-        order_auto.append(auto.now)
-    assert order_auto == order_ref
-    assert auto.events_processed == ref.events_processed
