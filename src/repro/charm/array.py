@@ -8,12 +8,19 @@ are addressed through the array's :class:`ArrayProxy`:
 ``method(a, b)`` on element ``(i, j)``; ``arr.proxy.bcast("go")``
 invokes ``go()`` on every element via a spanning tree over the home
 PEs.
+
+Placement is fixed at creation: the array builds every element once,
+binds it to the PE its mapping names, and keys it in
+:attr:`ChareArray.elements` by its canonical index tuple.  Resolving an
+index is one probe of that dict; only a miss (an int, a list, a numpy
+scalar, a bad index, or an element not built yet) normalises and
+bounds-checks.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
 
@@ -28,10 +35,29 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def normalize(index) -> Tuple[int, ...]:
-    """Accept ints, numpy ints, lists, tuples; always store tuples."""
+    """Canonical tuple of an index: a scalar or a sequence (tuple,
+    list, array) of integral components.
+
+    A component must equal its ``int()`` value: ints, numpy ints,
+    bools and integral floats pass; ``1.7``, ``"1"`` or ``None`` raise
+    :class:`MappingError` instead of addressing another element.
+    """
     if isinstance(index, (int, np.integer)):
         return (int(index),)
-    return tuple(int(i) for i in index)
+    try:
+        comps = tuple(index)
+    except TypeError:  # a scalar
+        comps = (index,)
+    out = []
+    for c in comps:
+        try:
+            i = int(c)
+        except (TypeError, ValueError, OverflowError):
+            i = None
+        if i is None or i != c:
+            raise MappingError(f"index {index!r}: {c!r} is not an integer")
+        out.append(i)
+    return tuple(out)
 
 
 class ElementProxy:
@@ -134,10 +160,25 @@ class ChareArray:
     @property
     def size(self) -> int:
         """Number of elements/members."""
-        return int(np.prod(self.dims))
+        return len(self.elements)
+
+    def probe(self, index) -> Optional[Chare]:
+        """The built element keyed by ``index``, or None.
+
+        Canonical tuples hit; so do tuples whose components hash and
+        compare equal to them (numpy ints, bools, integral floats).
+        Everything else misses, and the caller normalises.
+        """
+        try:
+            return self.elements.get(index)
+        except TypeError:  # unhashable: a list, an array
+            return None
 
     def normalize_index(self, index) -> Tuple[int, ...]:
         """Canonical tuple form of an element index (bounds-checked)."""
+        elem = self.probe(index)
+        if elem is not None:
+            return elem.thisIndex
         idx = normalize(index)
         linear_index(idx, self.dims)  # bounds check
         return idx
@@ -147,8 +188,14 @@ class ChareArray:
         return self.elements[self.normalize_index(index)]
 
     def pe_of(self, index) -> int:
-        """Home PE rank of an element index."""
-        return self.mapping.pe_for(self.normalize_index(index), self.dims, self.rt.n_pes)
+        """Home PE rank of an element index: the PE the element was
+        bound to when built.  Only an element not built yet (a
+        constructor naming a later neighbour) asks the mapping."""
+        idx = self.normalize_index(index)
+        elem = self.elements.get(idx)
+        if elem is None:
+            return self.mapping.pe_for(idx, self.dims, self.rt.n_pes)
+        return elem._pe.rank
 
     def local_count(self, pe_rank: int) -> int:
         """Number of members hosted on a PE."""

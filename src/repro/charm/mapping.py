@@ -4,13 +4,17 @@ The runtime maps virtual processors (chares) onto physical PEs; the
 choice affects load balance and communication locality.  The paper's
 experiments use straightforward block placement with a virtualization
 ratio (chares per PE) of 8 for the stencil runs.
+
+Placement is static: a :class:`~repro.charm.array.ChareArray` asks its
+mapping once per element, when it builds the element, and binds the
+element to that PE.  Sends read the bound PE; no mapping runs per
+message.
 """
 
 from __future__ import annotations
 
+from math import prod
 from typing import Callable, Tuple
-
-import numpy as np
 
 from .errors import MappingError
 
@@ -19,10 +23,12 @@ def linear_index(index: Tuple[int, ...], dims: Tuple[int, ...]) -> int:
     """Row-major linearization of a multidimensional chare index."""
     if len(index) != len(dims):
         raise MappingError(f"index {index} does not match dims {dims}")
+    lin = 0
     for i, d in zip(index, dims):
         if not (0 <= i < d):
             raise MappingError(f"index {index} out of bounds for dims {dims}")
-    return int(np.ravel_multi_index(index, dims))
+        lin = lin * d + i
+    return lin
 
 
 class Mapping:
@@ -43,8 +49,7 @@ class BlockMap(Mapping):
 
     def pe_for(self, index, dims, n_pes):
         """Home PE for an element index under this mapping."""
-        total = int(np.prod(dims))
-        return linear_index(index, dims) * n_pes // total
+        return linear_index(index, dims) * n_pes // prod(dims)
 
 
 class RoundRobinMap(Mapping):

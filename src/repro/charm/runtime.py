@@ -303,10 +303,15 @@ class Runtime:
         injection at the current simulated time, free of charge — the
         bootstrap path.
         """
-        idx = array.normalize_index(index)
+        elem = array.probe(index)
+        if elem is not None:
+            idx = elem.thisIndex
+            dst_rank = elem._pe.rank
+        else:
+            idx = array.normalize_index(index)
+            dst_rank = array.pe_of(idx)
         args = wrap_args(args)
         nbytes = nbytes_override if nbytes_override is not None else payload_bytes(args)
-        dst_rank = array.pe_of(idx)
         src = self.current_pe
         charm = self.machine.charm
 

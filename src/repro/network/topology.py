@@ -38,11 +38,8 @@ class Topology:
             raise TopologyError("n_nodes and cores_per_node must be positive")
         self.n_nodes = int(n_nodes)
         self.cores_per_node = int(cores_per_node)
-
-    @property
-    def n_pes(self) -> int:
-        """Total PEs on this topology."""
-        return self.n_nodes * self.cores_per_node
+        #: total PEs on this topology.
+        self.n_pes = self.n_nodes * self.cores_per_node
 
     def node_of(self, pe: int) -> int:
         """Node index hosting a PE rank."""
@@ -52,7 +49,12 @@ class Topology:
 
     def same_node(self, a: int, b: int) -> bool:
         """True when both PEs share a node."""
-        return self.node_of(a) == self.node_of(b)
+        n = self.n_pes
+        if not (0 <= a < n and 0 <= b < n):
+            bad = b if 0 <= a < n else a
+            raise TopologyError(f"PE {bad} out of range [0, {n})")
+        cpn = self.cores_per_node
+        return a // cpn == b // cpn
 
     def hops(self, a: int, b: int) -> int:
         """Network hops between the nodes hosting PEs ``a`` and ``b``."""
@@ -91,6 +93,8 @@ class Torus3D(Topology):
             raise TopologyError(f"dims must be three positive ints, got {dims!r}")
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
         super().__init__(self.dims[0] * self.dims[1] * self.dims[2], cores_per_node)
+        #: hop counts of the node pairs asked about so far.
+        self._hops: dict = {}
 
     @classmethod
     def for_pes(cls, n_pes: int, cores_per_node: int = 4) -> "Torus3D":
@@ -126,10 +130,14 @@ class Torus3D(Topology):
         na, nb = self.node_of(a), self.node_of(b)
         if na == nb:
             return 0
-        total = 0
-        for ca, cb, dim in zip(self.coords(na), self.coords(nb), self.dims):
-            d = abs(ca - cb)
-            total += min(d, dim - d)
+        key = (na, nb)
+        total = self._hops.get(key)
+        if total is None:
+            total = 0
+            for ca, cb, dim in zip(self.coords(na), self.coords(nb), self.dims):
+                d = abs(ca - cb)
+                total += min(d, dim - d)
+            self._hops[key] = total
         return total
 
 

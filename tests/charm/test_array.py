@@ -1,5 +1,6 @@
 """Unit tests for ChareArray indexing, proxies, and the spanning tree."""
 
+import numpy as np
 import pytest
 
 from repro import ABE, Chare, Runtime
@@ -21,9 +22,9 @@ def test_index_normalization():
     assert arr.normalize_index(2) == (2,)
     assert arr.normalize_index((3,)) == (3,)
     assert arr.normalize_index([1]) == (1,)
-    import numpy as np
-
-    assert arr.normalize_index(np.int64(1)) == (1,)
+    for one in (np.int64(1), True, 1.0, (1.0,)):
+        assert arr.normalize_index(one) == (1,)
+        assert arr.element(one) is arr.elements[(1,)]
 
 
 def test_index_bounds_checked():
@@ -33,6 +34,47 @@ def test_index_bounds_checked():
         arr.normalize_index((2, 0))
     with pytest.raises(MappingError):
         arr.proxy[(0, 5)]
+
+
+@pytest.mark.parametrize("index", [
+    (1.7, 0), (np.float64(2.9), 1), (0, 0.5), "12", "ab", (0, "1"),
+    (None, 0), ([1], 0), (float("nan"), 0), (float("inf"), 0),
+], ids=repr)
+def test_non_integral_component_rejected_not_truncated(index):
+    rt = Runtime(ABE, n_pes=2)
+    arr = rt.create_array(E, dims=(3, 3))
+    for lookup in (arr.normalize_index, arr.pe_of, arr.element,
+                   arr.proxy.__getitem__, lambda i: arr.section([i]),
+                   lambda i: rt.send(arr, i, "hit")):
+        with pytest.raises(MappingError):
+            lookup(index)
+
+
+@pytest.mark.parametrize("index", [2.5, np.float64(1.5), "ab", "1", None],
+                         ids=repr)
+def test_non_integer_scalar_rejected(index):
+    rt = Runtime(ABE, n_pes=2)
+    arr = rt.create_array(E, dims=(4,))
+    for lookup in (arr.normalize_index, arr.pe_of, arr.proxy.__getitem__):
+        with pytest.raises(MappingError):
+            lookup(index)
+
+
+@pytest.mark.parametrize("index", [
+    (np.int64(1), 2), (True, 2), (1.0, 2), (1, np.float64(2.0)),
+    [1, 2], np.array([1, 2]), (np.int32(1), np.uint8(2)),
+], ids=repr)
+def test_integral_components_resolve_to_their_element(index):
+    rt = Runtime(ABE, n_pes=4)
+    arr = rt.create_array(E, dims=(3, 3))
+    target = arr.elements[(1, 2)]
+    assert arr.normalize_index(index) == (1, 2)
+    assert type(arr.normalize_index(index)[0]) is int
+    assert arr.element(index) is target
+    assert arr.pe_of(index) == target.my_pe
+    rt.send(arr, index, "hit", ("x",))
+    rt.run()
+    assert target.hits == [("x",)]
 
 
 def test_element_lookup_and_pe_of():

@@ -1,5 +1,8 @@
 """Unit tests for chare-to-PE mappings."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.charm.mapping import (
@@ -16,6 +19,14 @@ def test_linear_index_row_major():
     assert linear_index((0, 2), (2, 3)) == 2
     assert linear_index((1, 0), (2, 3)) == 3
     assert linear_index((1, 2), (2, 3)) == 5
+
+
+@pytest.mark.parametrize("dims", [(5,), (3, 4), (2, 3, 4), (2, 3, 2, 3)])
+def test_linear_index_matches_numpy_ravel(dims):
+    for idx in itertools.product(*(range(d) for d in dims)):
+        lin = linear_index(idx, dims)
+        assert type(lin) is int
+        assert lin == np.ravel_multi_index(idx, dims)
 
 
 def test_linear_index_bounds():

@@ -38,6 +38,18 @@ def test_pe_out_of_range():
         t.node_of(-1)
 
 
+def test_same_node_range_checks_each_pe():
+    t = FatTree(2, 4)
+    assert t.same_node(4, 7)
+    assert not t.same_node(3, 4)
+    with pytest.raises(TopologyError, match="PE 8 "):
+        t.same_node(0, 8)
+    with pytest.raises(TopologyError, match="PE -1 "):
+        t.same_node(-1, 0)
+    with pytest.raises(TopologyError, match="PE 9 "):
+        t.same_node(9, 8)
+
+
 def test_invalid_construction():
     with pytest.raises(TopologyError):
         FatTree(0, 4)
@@ -77,6 +89,20 @@ def test_torus_hops_match_graph_shortest_paths():
     for a in range(0, closed.n_nodes, 5):
         for b in range(closed.n_nodes):
             assert closed.hops(a, b) == graph.hops(a, b), (a, b)
+
+
+def test_torus_hops_repeat_with_cores_per_node():
+    """Asked again (and across PEs of the same nodes), a pair's hop
+    count equals the closed form on its node coordinates."""
+    dims = (4, 3, 2)
+    t = Torus3D(dims, cores_per_node=2)
+    for _ in range(2):
+        for a in range(t.n_pes):
+            for b in range(t.n_pes):
+                ca, cb = t.coords(a // 2), t.coords(b // 2)
+                want = sum(min(abs(x - y), d - abs(x - y))
+                           for x, y, d in zip(ca, cb, dims))
+                assert t.hops(a, b) == want, (a, b)
 
 
 def test_torus_for_pes_capacity():
