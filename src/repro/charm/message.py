@@ -78,11 +78,13 @@ class Payload:
         return cls(nbytes=nbytes, pack=False)
 
     def marshalled(self) -> "Payload":
-        """The on-the-wire form: snapshot real data when packing."""
-        if self.pack and self.data is not None:
-            return Payload(data=np.array(self.data, copy=True), pack=False,
-                           auto=self.auto)
-        return self
+        """The on-the-wire form: a packed payload travels as its
+        unpacked copy (real data snapshotted), virtual or not, so the
+        copy is charged once however many hops forward it."""
+        if not self.pack:
+            return self
+        data = None if self.data is None else np.array(self.data, copy=True)
+        return Payload(data, self._nbytes, pack=False, auto=self.auto)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "virtual" if self.is_virtual else "real"

@@ -17,6 +17,7 @@ Typical driver::
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -183,7 +184,7 @@ class Runtime:
             # cross-PE state synchronously) is present.  With faults the
             # run silently keeps the legacy serial engine, so faulted
             # runs stay byte-identical at any --shards count.
-            self.fabric.enable_engine(self._engine_deliver)
+            self.fabric.enable_engine()
             self._defer_host_sends = True
         self.n_pes = n_pes
         self.pes: List[PE] = [PE(self, r) for r in range(n_pes)]
@@ -313,15 +314,10 @@ class Runtime:
         args = wrap_args(args)
         nbytes = nbytes_override if nbytes_override is not None else payload_bytes(args)
         src = self.current_pe
-        charm = self.machine.charm
 
         if src is not None:
-            for a in args:
-                if isinstance(a, Payload) and a.pack and a.nbytes:
-                    src.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
-                    self.trace.count("charm.pack_copies")
-            src.charge(charm.send_overhead)
-            args = tuple(a.marshalled() if isinstance(a, Payload) else a for a in args)
+            args = self._marshal(src, args)
+            src.charge(self.machine.charm.send_overhead)
             start = src.cursor
             src_rank: Optional[int] = src.rank
         else:
@@ -360,28 +356,29 @@ class Runtime:
                 # Host injection or PE-local delivery: straight to queue.
                 self.sim.at(start, dst_pe.enqueue, msg)
         else:
-            if self.fabric._engine:
-                # Describe the in-flight message so the engine can ship
-                # it across shards (the callback closure cannot travel).
-                self.fabric._engine_desc = ("msg", msg)
+            # The callback is the arrival's only description: the
+            # sharded engine reads the message back out of it.
             self.fabric.charm_transport(
-                src_rank, dst_rank, nbytes, start, lambda: dst_pe.enqueue(msg)
+                src_rank, dst_rank, nbytes, start, partial(dst_pe.enqueue, msg)
             )
+
+    def _marshal(self, pe: Optional[PE], args: tuple) -> tuple:
+        """The wire form of ``args``: ``pe`` (None = host, free) is
+        charged one copy per packed payload, and every payload travels
+        unpacked, so no later hop charges the copy again."""
+        if pe is not None:
+            charm = self.machine.charm
+            for a in args:
+                if isinstance(a, Payload) and a.pack and a.nbytes:
+                    pe.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
+                    self.trace.count("charm.pack_copies")
+        return tuple(a.marshalled() if isinstance(a, Payload) else a for a in args)
 
     def bcast(self, array, method: str, args: tuple = ()) -> None:
         """Invoke ``method`` on every member of an array *or section*
         via its home-PE tree."""
-        args = wrap_args(args)
         # Marshal once; down-tree stages must not re-charge packing.
-        if self.current_pe is not None:
-            charm = self.machine.charm
-            for a in args:
-                if isinstance(a, Payload) and a.pack and a.nbytes:
-                    self.current_pe.charge(
-                        charm.copy_base + a.nbytes * charm.copy_per_byte
-                    )
-                    self.trace.count("charm.pack_copies")
-        args = tuple(a.marshalled() if isinstance(a, Payload) else a for a in args)
+        args = self._marshal(self.current_pe, wrap_args(args))
         root = array.home_pes[0]
         self.send(
             self.agents,
@@ -399,23 +396,6 @@ class Runtime:
         for start, dst_rank, msg in pending:
             if owned_ranks is None or dst_rank in owned_ranks:
                 self.sim.at(start, self.pes[dst_rank].enqueue, msg)
-
-    def _engine_deliver(self, dst_rank: int, desc: tuple) -> None:
-        """Engine rx completion: hand a described arrival to dst.
-
-        ``desc`` kinds: ``("msg", Message)`` for a local (same-process)
-        charm message, ``("lput", handle)`` for a local CkDirect put,
-        and encoded cross-shard forms handled by repro.sim.parallel.
-        """
-        kind = desc[0]
-        if kind == "msg":
-            self.pes[dst_rank].enqueue(desc[1])
-        elif kind == "lput":
-            from ..ckdirect import api as _ckd
-            _ckd._complete(desc[1])
-        else:
-            from ..sim.parallel import deliver_remote
-            deliver_remote(self, dst_rank, desc)
 
     # ------------------------------------------------------------------
     # Delivery (called by PEs)

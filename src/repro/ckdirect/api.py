@@ -33,6 +33,8 @@ Platform dispatch follows the paper:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Any, Optional
 
 from ..charm.errors import PutMismatchError
@@ -177,18 +179,19 @@ def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
         # receiver's re-arms are invisible here, so skip the local state
         # machine (the real handle's landing-side checks still apply)
         # and ship a snapshot of the source buffer with the put.
-        _remote_put(handle, pe, issue_cost)
-        return
-    legal = _PUTTABLE_BGP if _is_bgp(rt) else _PUTTABLE_IB
-    if handle.state not in legal:
-        raise ChannelStateError(
-            f"{handle.name}: put while channel is {handle.state.value} — "
-            "the application-level synchronization the paper relies on "
-            "has been violated (receiver has not re-armed the channel)"
-        )
-    if handle.state is ChannelState.CONSUMED:  # BG/P implicit re-arm
-        handle.stamp_sentinel()
-    handle.state = ChannelState.IN_FLIGHT
+        done = partial(_complete, handle, handle.src_buffer.snapshot())
+    else:
+        legal = _PUTTABLE_BGP if _is_bgp(rt) else _PUTTABLE_IB
+        if handle.state not in legal:
+            raise ChannelStateError(
+                f"{handle.name}: put while channel is {handle.state.value} — "
+                "the application-level synchronization the paper relies on "
+                "has been violated (receiver has not re-armed the channel)"
+            )
+        if handle.state is ChannelState.CONSUMED:  # BG/P implicit re-arm
+            handle.stamp_sentinel()
+        handle.state = ChannelState.IN_FLIGHT
+        done = partial(_complete, handle)
     nbytes = handle.recv_buffer.nbytes
     pe.charge(rt.machine.ckdirect.put_issue if issue_cost is None else issue_cost)
     tr = rt.tracer
@@ -207,55 +210,27 @@ def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
     if src_rank == dst_rank:
         # Same-PE channel: a local memcpy at shared-memory speed.
         delay = rt.machine.net.shm_alpha + nbytes * rt.machine.net.shm_beta
-        rt.sim.at(pe.cursor + delay, _complete, handle)
+        rt.sim.at(pe.cursor + delay, done)
     elif rt.reliability is not None:
         _reliable_put(handle, pe.cursor)
     else:
-        if rt.fabric._engine:
-            # Describe the arrival for the engine's canonical rx order.
-            # A real handle's endpoints always share a shard (a remote
-            # sender holds a proxy instead), so this never crosses.
-            rt.fabric._engine_desc = ("lput", handle)
-        rt.fabric.direct_put(
-            src_rank, dst_rank, nbytes, pe.cursor, lambda: _complete(handle)
-        )
+        # The callback is the arrival's only description: the sharded
+        # engine ships a proxy's put (handle id + snapshot) to the
+        # owning shard and refuses a real handle's put that would cross.
+        rt.fabric.direct_put(src_rank, dst_rank, nbytes, pe.cursor, done)
 
 
-def _remote_put(handle: CkDirectHandle, pe, issue_cost: Optional[float]) -> None:
-    """Issue a put on a cross-shard proxy handle (engine runs only).
+def _complete(handle: CkDirectHandle, snap=None) -> None:
+    """Fabric delivery callback: land data + notify the receiver.
 
-    Charges and counts exactly as :func:`put`; the wire carries the
-    handle id plus a snapshot of the source buffer, and the owning
-    shard lands it through the real handle (see repro.sim.parallel).
+    ``snap`` is the source-buffer copy a proxy's put took at issue; a
+    proxy (``handle.remote``) lands through its shard's real handle.
     """
     rt = handle.rt
-    nbytes = handle.recv_buffer.nbytes
-    pe.charge(rt.machine.ckdirect.put_issue if issue_cost is None else issue_cost)
-    tr = rt.tracer
-    if tr is not None:
-        handle.trace_put_eid = tr.instant(
-            rt._trace_run, pe.rank, CAT_CKDIRECT, f"put:{handle.name}",
-            pe.cursor, cause=tr.current,
-            args={"bytes": nbytes, "dst_pe": handle.recv_pe.rank},
-        )
-    rt.trace.count("ckdirect.puts")
-    rt.trace.count("ckdirect.put_bytes", nbytes)
-    snap = handle.src_buffer.snapshot() if handle.src_buffer is not None else None
-    rt.fabric._engine_desc = ("put", handle.hid, snap)
-    rt.fabric.direct_put(
-        pe.rank, handle.recv_pe.rank, nbytes, pe.cursor, _discarded_cb
-    )
-
-
-def _discarded_cb() -> None:  # pragma: no cover - never scheduled
-    """Placeholder callback for transfers whose delivery is described
-    via the engine descriptor (the fabric discards it)."""
-    raise CkDirectError("engine-described transfer callback must not fire")
-
-
-def _complete(handle: CkDirectHandle) -> None:
-    """Fabric delivery callback: land data + notify the receiver."""
-    rt = handle.rt
+    if handle.remote:
+        handle = rt._handles[handle.hid]
+    if snap is not None:
+        handle.src_buffer = Buffer(array=snap)
     handle.deliver()
     tr = rt.tracer
     if tr is not None:
@@ -265,19 +240,7 @@ def _complete(handle: CkDirectHandle) -> None:
             cause=handle.trace_put_eid,
             args={"bytes": handle.recv_buffer.nbytes},
         )
-    if _is_bgp(rt):
-        # DCMF receive-completion callback: handler + user callback run
-        # directly, around the scheduler queue.
-        cost = rt.fabric.recv_handler_cost(
-            handle.recv_buffer.nbytes
-        ) + rt.machine.ckdirect.callback_overhead
-        item = DirectItem(cost, handle.fire)
-        item.trace_eid = handle.trace_eid
-        handle.recv_pe.push_direct(item)
-    else:
-        # Infiniband: wake the receiver; its poll sweep will detect the
-        # sentinel change (if the handle is in the polling queue).
-        handle.recv_pe.notify_arrival()
+    _notify_arrival(handle)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +382,11 @@ def _reliable_deliver(handle: CkDirectHandle, seq: int, torn: bool) -> None:
 
 
 def _notify_arrival(handle: CkDirectHandle) -> None:
-    """Wake the receiver after a reliable delivery (mirrors _complete)."""
+    """Wake the receiver after a put landed."""
     rt = handle.rt
     if _is_bgp(rt):
+        # DCMF receive-completion callback: handler + user callback run
+        # directly, around the scheduler queue.
         cost = rt.fabric.recv_handler_cost(
             handle.recv_buffer.nbytes
         ) + rt.machine.ckdirect.callback_overhead
@@ -429,6 +394,8 @@ def _notify_arrival(handle: CkDirectHandle) -> None:
         item.trace_eid = handle.trace_eid
         handle.recv_pe.push_direct(item)
     else:
+        # Infiniband: wake the receiver; its poll sweep will detect the
+        # sentinel change (if the handle is in the polling queue).
         handle.recv_pe.notify_arrival()
 
 
@@ -437,18 +404,10 @@ def _send_ack(handle: CkDirectHandle, seq: int) -> None:
     rt = handle.rt
     rt.trace.count("ckdirect.acks_sent")
     inj = rt.fault_injector
-    src, dst = handle.recv_pe.rank, handle.src_pe.rank
-    now = rt.sim.now
-    if inj is not None:
-        with inj.scoped("ack"):
-            rt.fabric.charm_transport(
-                src, dst, rt.reliability.ack_bytes, now,
-                lambda: _on_ack(handle, seq),
-            )
-    else:
+    with inj.scoped("ack") if inj is not None else nullcontext():
         rt.fabric.charm_transport(
-            src, dst, rt.reliability.ack_bytes, now,
-            lambda: _on_ack(handle, seq),
+            handle.recv_pe.rank, handle.src_pe.rank, rt.reliability.ack_bytes,
+            rt.sim.now, lambda: _on_ack(handle, seq),
         )
 
 

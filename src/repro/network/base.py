@@ -7,10 +7,12 @@ time *t*" into a delivery event, charging:
 * **NIC injection occupancy** — a *node's* outgoing transfers share
   its network interface; concurrent transfers back-pressure each other
   through per-node ``tx``/``rx`` occupancy.  Occupancy is the transfer's
-  streaming time scaled by :meth:`_occupancy_factor`: 1.0 on the
-  single-HCA Infiniband nodes (the paper itself points at "a single
-  Infiniband connection per node" as the Abe bottleneck), and 1/6 on
-  Blue Gene/P, whose node routes over six torus links,
+  streaming time scaled by the machine's ``occupancy_factor``: 0.41 on
+  the single-HCA Infiniband nodes (the paper itself points at "a single
+  Infiniband connection per node" as the Abe bottleneck; only the wire
+  share of ``beta`` holds the HCA), and 0.147 on Blue Gene/P, whose
+  node spreads its traffic over six torus links (derivations in
+  :mod:`repro.network.params`),
 * **wire latency** — base latency plus per-hop latency from the
   topology plus the per-byte streaming time counted once, then
 * **NIC ejection occupancy** at the receiver, symmetric with
@@ -75,6 +77,11 @@ class Fabric(Entity):
         self.topology = topology
         self.machine = machine
         self.trace = trace if trace is not None else Trace()
+        #: the machine's transport parameter block, and its per-hop
+        #: latency (the fat tree has no per-hop term).  Parameter blocks
+        #: are frozen, so reading them once is safe.
+        self.p = machine.net
+        self.hop_latency = getattr(self.p, "hop_latency", 0.0)
         #: timeline tracer + run id, attached by the owning runtime
         #: when Projections tracing is on (None = off, zero cost).
         self.tracer = None
@@ -89,12 +96,8 @@ class Fabric(Entity):
         #: admitted in canonical head-arrival order, which is the same
         #: at any shard count.
         self._engine = False
-        #: descriptor for the transfer about to be issued (set by the
-        #: runtime / ckdirect layers immediately before each service
-        #: call; consumed and cleared by :meth:`transfer`).
-        self._engine_desc = None
         #: heap of in-flight arrival records
-        #: ``(head_arrival, dst, src, k, stream, occ, wire_bytes, desc)``.
+        #: ``(head_arrival, dst, src, k, stream, occ, wire_bytes, cb)``.
         #: ``(src, k)`` is unique (each source PE's counter lives in
         #: exactly one shard), so heap order never compares the rest.
         self._records: list = []
@@ -106,9 +109,6 @@ class Fabric(Entity):
         self._owned_nodes = None
         #: cross-shard records awaiting the next epoch exchange.
         self._outbox: list = []
-        #: delivery resolver ``(dst_rank, desc) -> None`` installed by
-        #: the runtime when engine mode is enabled.
-        self._engine_deliver: Optional[Callable] = None
 
     # ------------------------------------------------------------------
     # Core primitive
@@ -147,11 +147,11 @@ class Fabric(Entity):
             (per-packet overheads delay delivery as well as occupying
             the NIC).
         cb:
-            Invoked (no args) at the delivery instant.
+            Invoked (no args) at the delivery instant.  It is also the
+            arrival's only description: a record bound for another
+            shard is encoded from it (see
+            :func:`repro.sim.parallel.encode_record`).
         """
-        desc = None
-        if self._engine:
-            desc, self._engine_desc = self._engine_desc, None
         if src == dst:
             raise FabricError("self-send must be short-circuited by the caller")
         if wire_bytes < 0:
@@ -161,7 +161,7 @@ class Fabric(Entity):
                 f"transfer start {start!r} precedes simulated now {self.sim.now!r}"
             )
         if self.topology.same_node(src, dst):
-            delivery = start + pre + self._shm_alpha() + wire_bytes * self._shm_beta()
+            delivery = start + pre + self.p.shm_alpha + wire_bytes * self.p.shm_beta
             self.trace.count("net.shm_transfers")
             if self.tracer is not None:
                 self.tracer.instant(
@@ -172,12 +172,12 @@ class Fabric(Entity):
             return delivery
 
         stream = wire_bytes * beta + lat_extra  # streaming (latency) part
-        occ = wire_bytes * beta * self._occupancy_factor() + ser_extra
+        occ = wire_bytes * beta * self.p.occupancy_factor + ser_extra
         src_node = self.topology.node_of(src)
         dst_node = self.topology.node_of(dst)
         tx_start = max(start + pre, self._tx_free[src_node])
         self._tx_free[src_node] = tx_start + occ
-        head_arrival = tx_start + alpha + self.topology.hops(src, dst) * self._hop_latency()
+        head_arrival = tx_start + alpha + self.topology.hops(src, dst) * self.hop_latency
         self.trace.count("net.transfers")
         self.trace.count("net.bytes", wire_bytes)
         if self._engine:
@@ -190,19 +190,13 @@ class Fabric(Entity):
             # consumes it; MPI, which does, forces the legacy path).
             k = self._send_k.get(src, 0)
             self._send_k[src] = k + 1
-            rec = (head_arrival, dst, src, k, stream, occ, wire_bytes,
-                   cb if desc is None else desc)
+            rec = (head_arrival, dst, src, k, stream, occ, wire_bytes, cb)
             owned = self._owned_nodes
             if owned is None or dst_node in owned:
                 heappush(self._records, rec)
                 self.sim.at(head_arrival, self._admit_arrivals,
                             priority=_ADMIT_PRIORITY)
             else:
-                if desc is None:
-                    raise FabricError(
-                        "cross-shard transfer lacks a descriptor; this "
-                        "workload must run with the serial engine"
-                    )
                 self._outbox.append(rec)
             return head_arrival + stream
         rx_start = max(head_arrival, self._rx_free[dst_node])
@@ -221,11 +215,10 @@ class Fabric(Entity):
     # Parallel-engine mode (see repro.sim.parallel)
     # ------------------------------------------------------------------
 
-    def enable_engine(self, deliver: Callable) -> None:
-        """Switch to engine semantics; ``deliver(dst_rank, desc)``
-        resolves a transfer descriptor into its receiver-side effect."""
+    def enable_engine(self) -> None:
+        """Switch to engine semantics (receiver ejection admitted in
+        canonical head-arrival order)."""
         self._engine = True
-        self._engine_deliver = deliver
 
     def min_remote_latency(self) -> float:
         """Strictly positive floor on cross-node end-to-end latency.
@@ -254,7 +247,7 @@ class Fabric(Entity):
         at = self.sim.at
         tracer = self.tracer
         while recs and recs[0][0] <= now:
-            ha, dst, src, _k, stream, occ, wire_bytes, payload = heappop(recs)
+            ha, dst, src, _k, stream, occ, wire_bytes, cb = heappop(recs)
             dn = node_of(dst)
             rx_start = rx_free[dn] if rx_free[dn] > ha else ha
             delivery = rx_start + stream
@@ -264,10 +257,7 @@ class Fabric(Entity):
                     self.trace_run, NET_TRACK, CAT_NET, "transfer", delivery,
                     args={"src": src, "dst": dst, "bytes": wire_bytes},
                 )
-            if isinstance(payload, tuple):
-                at(delivery, self._engine_deliver, dst, payload)
-            else:
-                at(delivery, payload)
+            at(delivery, cb)
 
     def take_outbox(self) -> list:
         """Drain the cross-shard records buffered since the last epoch."""
@@ -278,25 +268,6 @@ class Fabric(Entity):
         """Insert one exchanged record (its ha lies in a future window)."""
         heappush(self._records, rec)
         self.sim.at(rec[0], self._admit_arrivals, priority=_ADMIT_PRIORITY)
-
-    # ------------------------------------------------------------------
-    # Machine-specific constants (overridden per fabric)
-    # ------------------------------------------------------------------
-
-    def _shm_alpha(self) -> float:
-        return self.machine.net.shm_alpha
-
-    def _shm_beta(self) -> float:
-        return self.machine.net.shm_beta
-
-    def _hop_latency(self) -> float:
-        return 0.0
-
-    def _occupancy_factor(self) -> float:
-        """Fraction of a transfer's streaming time that occupies the
-        node's NIC resources (see the per-machine ``occupancy_factor``
-        derivations in :mod:`repro.network.params`)."""
-        return getattr(self.machine.net, "occupancy_factor", 1.0)
 
     # ------------------------------------------------------------------
     # Transport services (abstract)

@@ -49,7 +49,7 @@ class BGPFabric(Fabric):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.machine.net, BGPParams):
+        if not isinstance(self.p, BGPParams):
             raise FabricError(
                 f"machine {self.machine.name!r} does not carry BGPParams"
             )
@@ -113,20 +113,12 @@ class BGPFabric(Fabric):
         ready = max([t0] + [self._link_free.get(l, 0.0) for l in links])
         for l in links:
             self._link_free[l] = ready + occ
-        delivery = ready + alpha + len(links) * self._hop_latency() + stream
+        delivery = ready + alpha + len(links) * self.hop_latency + stream
         self.trace.count("net.transfers")
         self.trace.count("net.bytes", wire_bytes)
         self.trace.count("bgp.link_routed")
         self.sim.at(delivery, cb)
         return delivery
-
-    @property
-    def p(self) -> BGPParams:
-        """The machine's transport parameter block."""
-        return self.machine.net
-
-    def _hop_latency(self) -> float:
-        return self.p.hop_latency
 
     def is_short(self, total_bytes: int) -> bool:
         """DCMF short-message fast path (receipt handler does the copy)."""

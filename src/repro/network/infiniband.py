@@ -42,16 +42,11 @@ class InfinibandFabric(Fabric):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        if not isinstance(self.machine.net, IBParams):
+        if not isinstance(self.p, IBParams):
             raise FabricError(
                 f"machine {self.machine.name!r} does not carry IBParams"
             )
         self._forced_protocol: Optional[str] = None
-
-    @property
-    def p(self) -> IBParams:
-        """The machine's transport parameter block."""
-        return self.machine.net
 
     def min_remote_latency(self) -> float:
         """Cross-node latency floor: the base alpha (``pre``, per-hop

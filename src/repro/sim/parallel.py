@@ -41,7 +41,8 @@ differ from every explicit shard count.  Trace event/message *ids*
 are process-local and therefore not part of that guarantee; all
 report content is.
 
-Cross-shard payloads travel in wire form: charm messages are re-built
+Cross-shard payloads travel in wire form, encoded from the record's
+delivery callback (its only description): charm messages are re-built
 on the destination shard, CkDirect handles crossing in a message
 become sender-side *proxies* (``handle.remote``) whose puts carry the
 handle id plus a snapshot of the source buffer back to the owning
@@ -55,8 +56,12 @@ import os
 import sys
 import time
 import traceback
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
+from ..charm.message import Message
+from ..ckdirect.api import _complete
+from ..ckdirect.handle import CkDirectHandle
 from ..network.topology import shard_nodes
 from ..util.buffers import Buffer
 
@@ -111,7 +116,6 @@ def _encode_args(args: tuple) -> tuple:
     containers are not supported across shards.
     """
     from ..charm.callback import CkCallback
-    from ..ckdirect.handle import CkDirectHandle
 
     out = []
     for a in args:
@@ -132,7 +136,6 @@ def _encode_args(args: tuple) -> tuple:
 
 def _decode_args(rt: "Runtime", args: tuple) -> tuple:
     from ..charm.callback import CkCallback
-    from ..ckdirect.handle import CkDirectHandle
 
     out = []
     for a in args:
@@ -158,55 +161,55 @@ def _decode_args(rt: "Runtime", args: tuple) -> tuple:
 
 
 def encode_record(rec: tuple) -> tuple:
-    """Turn one outbox record into its picklable wire form."""
-    ha, dst, src, k, stream, occ, wire, payload = rec
-    if not isinstance(payload, tuple):
+    """Turn one outbox record into its picklable wire form.
+
+    The record's delivery callback is the arrival's only description,
+    and only two shapes may cross shards: ``partial(pe.enqueue, msg)``
+    (a charm message) and ``partial(_complete, proxy, snap)`` (a put on
+    a proxy handle, with its source snapshot).  Anything else raises.
+    """
+    *head, cb = rec
+    if not isinstance(cb, partial):
         raise ParallelEngineError(
-            "a bare-callback transfer crossed shards; engine-mode "
-            "services must describe cross-shard arrivals"
+            "a bare-callback transfer crossed shards; only charm "
+            "messages and proxy-handle puts can be shipped"
         )
-    kind = payload[0]
-    if kind == "msg":
-        m = payload[1]
-        payload = ("emsg", m.array_id, m.index, m.method,
-                   _encode_args(m.args), m.nbytes, m.src_pe, m.send_time,
-                   m.is_internal)
-    elif kind == "lput":
+    what = cb.args[0] if cb.args else None
+    if isinstance(what, Message):
+        wire = ("emsg", what.array_id, what.index, what.method,
+                _encode_args(what.args), what.nbytes, what.src_pe,
+                what.send_time, what.is_internal)
+    elif isinstance(what, CkDirectHandle):
+        if not what.remote:
+            raise ParallelEngineError(
+                "a local-handle CkDirect put crossed shards; remote "
+                "senders must hold a proxy handle"
+            )
+        wire = ("put", what.hid, cb.args[1])
+    else:
         raise ParallelEngineError(
-            "a local-handle CkDirect put crossed shards; remote senders "
-            "must hold a proxy handle"
+            f"unknown cross-shard arrival {cb.func!r}"
         )
-    elif kind != "put":
-        raise ParallelEngineError(f"unknown descriptor kind {kind!r}")
-    return (ha, dst, src, k, stream, occ, wire, payload)
+    return (*head, wire)
 
 
-def deliver_remote(rt: "Runtime", dst_rank: int, desc: tuple) -> None:
+def deliver_remote(rt: "Runtime", dst_rank: int, wire: tuple) -> None:
     """Land one wire-form arrival on its destination PE."""
-    kind = desc[0]
-    if kind == "emsg":
-        from ..charm.message import Message
-
+    if wire[0] == "emsg":
         (_, array_id, index, method, enc_args, nbytes, src_pe,
-         send_time, is_internal) = desc
+         send_time, is_internal) = wire
         msg = Message(array_id, index, method, _decode_args(rt, enc_args),
                       nbytes, src_pe, send_time, is_internal)
         rt.pes[dst_rank].enqueue(msg)
-    elif kind == "put":
-        from ..ckdirect.api import _complete
-
-        _, hid, snap = desc
-        handle = rt._handles.get(hid)
-        if handle is None:
-            raise ParallelEngineError(
-                f"cross-shard put for unknown handle #{hid} on "
-                f"shard {rt.shard_id}"
-            )
-        if snap is not None:
-            handle.src_buffer = Buffer(array=snap)
-        _complete(handle)
-    else:
-        raise ParallelEngineError(f"unknown arrival descriptor {kind!r}")
+        return
+    _, hid, snap = wire
+    handle = rt._handles.get(hid)
+    if handle is None:
+        raise ParallelEngineError(
+            f"cross-shard put for unknown handle #{hid} on "
+            f"shard {rt.shard_id}"
+        )
+    _complete(handle, snap)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +447,10 @@ def _shard_worker(
             if msg[0] == "done":
                 break
             _, bound, inbox = msg
-            for rec in inbox:
-                fab.admit_remote(rec)
+            for *head, wire in inbox:
+                fab.admit_remote(
+                    (*head, partial(deliver_remote, rt, head[1], wire))
+                )
             sim.run_before(bound)
         conn.send(("final", _final_payload(rt, block, base)))
         conn.close()
@@ -480,13 +485,15 @@ def _run_serial_inline(rt: "Runtime") -> float:
 def _fork_plan(rt: "Runtime") -> Tuple[int, Optional[Any]]:
     """(effective shard count, fork context) for a sharded run.
 
-    Falls back to a single in-process shard (identical semantics, no
-    fork) when the topology has fewer nodes than shards were requested,
-    when events were scheduled directly on the simulator before the
-    run (their shard affinity is unknowable), when the platform has no
-    ``fork`` start method, or when the calling process is itself a
-    daemonic worker (e.g. a sweep-pool process, which may not fork
-    children of its own).
+    The count is clamped to the topology's node count.  A single
+    in-process shard (identical semantics, no fork) runs when that
+    leaves one shard, when events were scheduled directly on the
+    simulator before the run (their shard affinity is unknowable), when
+    the platform has no ``fork`` start method, or when the calling
+    process is itself a daemonic worker (e.g. a sweep-pool process,
+    which may not fork children of its own).  Runs that never enable
+    engine mode (fault plans, reliability, BG/P per-link contention)
+    do not reach here.
     """
     n = min(rt.shards or 1, rt.fabric.topology.n_nodes)
     if n > 1 and rt.sim.pending_active:

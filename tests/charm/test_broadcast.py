@@ -57,6 +57,31 @@ def test_bcast_payload_packed_once():
     assert rt.trace.counter("charm.pack_copies") == 1
 
 
+class Root(Receiver):
+    def start(self, payload):
+        if self.thisIndex == (0,):
+            self.proxy.bcast("ping", payload)
+
+
+def test_bcast_virtual_payload_times_like_real():
+    """A packed payload is charged one copy at the broadcast root
+    whether or not real bytes back it: the tree PEs forward it unpacked,
+    so virtual runs time identically to real ones."""
+    import numpy as np
+
+    def run(payload):
+        rt = Runtime(ABE, n_pes=16)
+        arr = rt.create_array(Root, dims=(64,))
+        arr.proxy[0].start(payload)
+        rt.run()
+        return rt.trace.counter("charm.pack_copies"), rt.makespan
+
+    real = run(Payload(data=np.zeros(10_000), pack=True))  # 80 KB
+    virtual = run(Payload(nbytes=80_000, pack=True))
+    assert real[0] == 1
+    assert virtual == real
+
+
 def test_bcast_on_sparse_array():
     rt = Runtime(ABE, n_pes=8)
     arr = rt.create_array(

@@ -10,9 +10,14 @@ order.  The scale where that order matters is pinned as an expected
 failure.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro import Chare, Runtime
+from repro import ckdirect as ckd
+from repro.charm import CustomMap
 from repro.network.params import ABE, SURVEYOR
 from repro.network.topology import (
     FatTree,
@@ -25,6 +30,7 @@ from repro.sim.parallel import (
     _encode_args,
     encode_record,
 )
+from repro.util.buffers import Buffer
 
 # ---------------------------------------------------------------------------
 # PE -> shard assignment
@@ -82,13 +88,20 @@ def test_encode_record_rejects_bare_callback():
 
 
 def test_encode_record_rejects_local_handle_put():
-    with pytest.raises(ParallelEngineError):
-        encode_record(_record(("lput", object())))
+    from repro.charm.callback import CkCallback
+    from repro.ckdirect.api import _complete
+    from repro.ckdirect.handle import CkDirectHandle
+
+    rt = Runtime(ABE, 16)
+    handle = CkDirectHandle(rt, rt.pes[8], Buffer.virtual(1024), -1.0,
+                            CkCallback.ignore())
+    with pytest.raises(ParallelEngineError, match="local-handle"):
+        encode_record(_record(partial(_complete, handle)))
 
 
 def test_encode_record_rejects_unknown_kind():
-    with pytest.raises(ParallelEngineError):
-        encode_record(_record(("mystery", 1)))
+    with pytest.raises(ParallelEngineError, match="unknown"):
+        encode_record(_record(partial(print, "mystery", 1)))
 
 
 def test_encode_args_rejects_host_callbacks():
@@ -196,6 +209,46 @@ def test_openatom_bit_identical_across_shards():
     assert len(s_four) == len(s_one)
     for a, b in zip(s_four, s_one):
         assert np.array_equal(a, b)
+
+
+class Relay(Chare):
+    """Element 0 creates a channel; its handle travels to element 1 and
+    back to element 2, which puts into it."""
+
+    def __init__(self):
+        self.recv = np.zeros(4)
+        self.got = None
+
+    def start(self):
+        h = ckd.create_handle(self, Buffer(array=self.recv), -1.0,
+                              self.on_data)
+        self.proxy[1].bounce(h)
+
+    def bounce(self, h):
+        self.proxy[2].put_home(h)
+
+    def put_home(self, h):
+        ckd.assoc_local(self, h, Buffer(array=np.arange(1.0, 5.0)))
+        ckd.put(h)
+
+    def on_data(self, _cbdata):
+        self.got = self.recv.copy()
+
+    def shard_state(self):
+        return {"got": self.got}
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+def test_proxy_put_lands_on_the_real_handle_of_its_own_shard(shards):
+    """At 2 shards element 2 holds a proxy of a handle its own shard
+    owns; the put must land through the real handle."""
+    # Abe has 8 cores per node: elements 0 and 2 share node 0.
+    rt = Runtime(ABE, 16, shards=shards)
+    arr = rt.create_array(Relay, dims=(3,),
+                          mapping=CustomMap(lambda idx, d, n: (0, 15, 1)[idx[0]]))
+    arr.proxy[0].start()
+    rt.run()
+    assert list(arr.elements[(0,)].got) == [1.0, 2.0, 3.0, 4.0]
 
 
 # ---------------------------------------------------------------------------
