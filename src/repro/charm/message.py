@@ -125,6 +125,7 @@ class Message:
         "src_pe",
         "send_time",
         "is_internal",
+        "bulk",
         "trace_eid",
     )
 
@@ -138,6 +139,7 @@ class Message:
         src_pe: Optional[int],
         send_time: float,
         is_internal: bool = False,
+        bulk: bool = True,
     ) -> None:
         self.id = next(_msg_ids)
         self.array_id = array_id
@@ -148,6 +150,9 @@ class Message:
         self.src_pe = src_pe
         self.send_time = send_time
         self.is_internal = is_internal
+        #: False only when the sender's scan found no Payload or ndarray
+        #: among ``args``: delivery then passes them through unwrapped.
+        self.bulk = bulk
         #: latest timeline event on this message's causal chain (the
         #: send instant, then the enqueue instant) — None untraced.
         self.trace_eid = None

@@ -11,11 +11,14 @@ Each :class:`PE` models one core running the Charm++ scheduler.  One
    word no longer equals the out-of-band value) is removed, charged
    ``detect_overhead + callback_overhead``, and its user callback runs
    inline — *no scheduling overhead*, exactly the paper's point.
-3. **One message**: dequeue, charge ``sched_overhead`` plus the
-   receive-side costs (entry dispatch, RTS receive handler, the BG/P
-   saturating receive copy), and run the entry method.
+3. **RTS-internal messages**: every pending one, each charged as
+   below.
+4. **One application message**: dequeue, charge ``sched_overhead``
+   plus the receive-side costs (entry dispatch, RTS receive handler,
+   the BG/P saturating receive copy), and run the entry method.
 
-The loop keeps iterating while work remains; otherwise the PE goes
+A phase whose queue is empty is skipped without a call.  The loop
+keeps iterating while work remains; otherwise the PE goes
 idle and is *kicked* by the next delivery.  All costs accumulate on a
 local cursor so that sends issued mid-entry start at the correct
 simulated instant, and a busy PE never begins new work before its
@@ -126,36 +129,55 @@ class PE(Entity):
         if self._loop_scheduled or self._executing:
             return
         self._loop_scheduled = True
-        self.sim.at(max(self.now, self.busy_until), self._iterate)
+        sim = self.sim
+        now = sim.now
+        busy = self.busy_until
+        sim.at(busy if busy > now else now, self._iterate)
 
     def _has_detectable(self) -> bool:
         return any(h.arrived for h in self.pollq.values())
 
     def _iterate(self) -> None:
+        """One scheduler pass: direct completions, the poll sweep, every
+        pending RTS-internal message, then one application message.
+        Each phase runs only when its queue holds work."""
         self._loop_scheduled = False
-        self._cursor = max(self.now, self.busy_until)
-        start = self._cursor
+        now = self.sim.now
+        busy = self.busy_until
+        start = busy if busy > now else now
+        self._cursor = start
         tr = self.rt.tracer
-        if tr is not None and self.busy_until > 0.0 and start > self.busy_until:
+        if tr is not None and busy > 0.0 and start > busy:
             # The PE sat idle between its last busy frontier and this
             # wake-up — the scheduling gap a timeline view exposes.
             tr.span(self.rt._trace_run, self.rank, CAT_IDLE, "idle",
-                    self.busy_until, start)
+                    busy, start)
+        queue, internal = self.queue, self.internal_queue
         self._executing = True
         try:
-            self._drain_direct()
-            self._poll_sweep()
-            self._drain_internal()
-            self._process_one_message()
+            if self.direct_q:
+                self._drain_direct()
+            if self.pollq:
+                self._poll_sweep()
+            # High-priority RTS messages: all pending ones run before
+            # the next application message (each pays dispatch cost).
+            while internal:
+                self._execute_message(internal.pop(), len(internal))
+            if queue:
+                self._execute_message(queue.pop(), len(queue))
         finally:
             self._executing = False
             self.busy_until = self._cursor
             self.busy_time += self._cursor - start
-        if self.queue or self.internal_queue or self.direct_q or self._has_detectable():
-            self.kick()
+        if (queue or internal or self.direct_q
+                or (self.pollq and self._has_detectable())):
+            # kick(), inlined: the cursor never precedes now.
+            self._loop_scheduled = True
+            self.sim.at(self._cursor, self._iterate)
 
     def _drain_direct(self) -> None:
         tr = self.rt.tracer
+        counters = self.rt.trace.counters
         while self.direct_q:
             item = self.direct_q.popleft()
             t0 = self._cursor
@@ -174,19 +196,18 @@ class PE(Entity):
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
                             "direct_callback", t0, self._cursor,
                             cause=item.trace_eid, eid=eid)
-            self.rt.trace.count("pe.direct_completions")
+            counters["pe.direct_completions"] += 1
 
     def _poll_sweep(self) -> None:
-        if not self.pollq:
-            return
         ck = self.rt.machine.ckdirect
         tr = self.rt.tracer
+        counters = self.rt.trace.counters
         t0 = self._cursor
         self.charge(ck.poll_base + ck.poll_per_handle * len(self.pollq))
         if tr is not None:
             tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT, "poll_sweep",
                     t0, self._cursor, args={"occupancy": len(self.pollq)})
-        self.rt.trace.count("pe.poll_sweeps")
+        counters["pe.poll_sweeps"] += 1
         self.rt.trace.sample("pe.pollq_occupancy", len(self.pollq))
         arrived = [h for h in self.pollq.values() if h.arrived]
         for handle in arrived:
@@ -207,42 +228,34 @@ class PE(Entity):
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
                             f"poll_callback:{handle.name}", t0, self._cursor,
                             cause=handle.trace_eid, eid=eid)
-            self.rt.trace.count("pe.poll_detections")
-
-    def _drain_internal(self) -> None:
-        """High-priority RTS messages: all pending ones run before the
-        next application message (each still pays dispatch cost)."""
-        while self.internal_queue:
-            self._execute_message(self.internal_queue.pop(), len(self.internal_queue))
-
-    def _process_one_message(self) -> None:
-        if not self.queue:
-            return
-        self._execute_message(self.queue.pop(), len(self.queue))
+            counters["pe.poll_detections"] += 1
 
     def _execute_message(self, msg: Message, remaining: int) -> None:
-        charm = self.rt.machine.charm
+        rt = self.rt
+        charm = rt.machine.charm
+        # The operand order of this sum is part of the simulated result
+        # (float rounding): keep it.
         cost = (
             charm.sched_overhead
             + charm.sched_per_queued * remaining
             + charm.handler_overhead
             + charm.recv_overhead
-            + self.rt.fabric.recv_handler_cost(msg.nbytes + charm.header_bytes)
+            + rt.fabric.recv_handler_cost(msg.nbytes + charm.header_bytes)
         )
         if charm.rts_copy_per_byte and msg.nbytes and not msg.is_internal:
             exposed = min(msg.nbytes, charm.rts_copy_cap) if charm.rts_copy_cap else msg.nbytes
             cost += exposed * charm.rts_copy_per_byte
-        tr = self.rt.tracer
+        tr = rt.tracer
         if tr is None:
             self.charge(cost)
-            self.rt.trace.count("pe.messages_executed")
-            self.rt._deliver(self, msg)
+            rt.trace.counters["pe.messages_executed"] += 1
+            rt._deliver(self, msg)
             return
         t0 = self._cursor
         self.charge(cost)
-        self.rt.trace.count("pe.messages_executed")
+        rt.trace.counters["pe.messages_executed"] += 1
         dispatch_eid = tr.span(
-            self.rt._trace_run, self.rank, CAT_SCHED,
+            rt._trace_run, self.rank, CAT_SCHED,
             f"dispatch:{msg.method}", t0, self._cursor,
             cause=msg.trace_eid, args={"msg": msg.id, "queued": remaining},
         )
@@ -250,11 +263,11 @@ class PE(Entity):
         eid = tr.next_id()
         tr.push(eid)
         try:
-            self.rt._deliver(self, msg)
+            rt._deliver(self, msg)
         finally:
             tr.pop()
             tr.span(
-                self.rt._trace_run, self.rank,
+                rt._trace_run, self.rank,
                 CAT_RTS if msg.is_internal else CAT_ENTRY,
                 msg.method, t1, self._cursor, cause=dispatch_eid, eid=eid,
                 args={"array": msg.array_id, "index": list(msg.index)},

@@ -20,6 +20,8 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import FaultPlan, ProcFaultPlan, ReliabilityParams
     from .section import ArraySection
@@ -37,6 +39,9 @@ from .mapping import CustomMap, Mapping
 from .message import Message, Payload, payload_bytes, unwrap_args, wrap_args
 from .pe import PE
 from .reduction import CONTROL_BYTES, ReductionManager
+
+#: argument types that make a message carry bulk data.
+_BULK = (Payload, np.ndarray)
 
 
 class _PEAgent(Chare):
@@ -311,22 +316,39 @@ class Runtime:
         else:
             idx = array.normalize_index(index)
             dst_rank = array.pe_of(idx)
-        args = wrap_args(args)
-        nbytes = nbytes_override if nbytes_override is not None else payload_bytes(args)
-        src = self.current_pe
+        if type(args) is not tuple:
+            args = tuple(args)
+        # One scan decides: only a message carrying a Payload or an
+        # ndarray is wrapped, sized, marshalled and later unwrapped.
+        bulk = False
+        for a in args:
+            if isinstance(a, _BULK):
+                bulk = True
+                break
+        if bulk:
+            args = wrap_args(args)
+            nbytes = (nbytes_override if nbytes_override is not None
+                      else payload_bytes(args))
+        else:
+            nbytes = nbytes_override if nbytes_override is not None else 0
+        stack = self._pe_stack
+        src = stack[-1] if stack else None
 
         if src is not None:
-            args = self._marshal(src, args)
+            if bulk:
+                args = self._marshal(src, args)
             src.charge(self.machine.charm.send_overhead)
-            start = src.cursor
+            start = src._cursor  # charge() succeeded: src is executing
             src_rank: Optional[int] = src.rank
         else:
             start = self.sim.now
             src_rank = None
 
-        msg = Message(array.id, idx, method, args, nbytes, src_rank, start, internal)
-        self.trace.count("charm.msgs_sent")
-        self.trace.count("charm.msg_bytes", nbytes)
+        msg = Message(array.id, idx, method, args, nbytes, src_rank, start,
+                      internal, bulk)
+        counters = self.trace.counters
+        counters["charm.msgs_sent"] += 1
+        counters["charm.msg_bytes"] += nbytes
         tr = self.tracer
         if tr is not None:
             msg.trace_eid = tr.instant(
@@ -415,11 +437,15 @@ class Runtime:
             raise EntryMethodError(
                 f"{type(elem).__name__} has no entry method {msg.method!r}"
             )
-        self._enter_pe(pe)
+        stack = self._pe_stack
+        stack.append(pe)
         try:
-            entry(*unwrap_args(msg.args))
+            if msg.bulk:
+                entry(*unwrap_args(msg.args))
+            else:
+                entry(*msg.args)
         finally:
-            self._exit_pe()
+            stack.pop()
 
     # ------------------------------------------------------------------
     # Reliability bookkeeping (no-ops unless built with a fault plan)

@@ -20,7 +20,7 @@ runtimes built with a fault plan; a clean runtime never constructs one.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque
+from typing import TYPE_CHECKING, Callable
 
 from .message import Message
 
@@ -29,13 +29,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from .runtime import Runtime
 
 
-class SchedulerQueue:
-    """FIFO of pending messages with occupancy statistics."""
+class SchedulerQueue(deque):
+    """FIFO of pending messages with occupancy statistics.
 
-    __slots__ = ("_q", "enqueued", "max_occupancy", "occupancy_sum", "dequeues")
+    The queue is a ``deque`` itself, so the scheduler's length and
+    truth tests are native.  ``push``/``pop`` are the FIFO pair that
+    keeps the statistics; ``pop`` takes the *oldest* message.
+    """
+
+    __slots__ = ("enqueued", "max_occupancy", "occupancy_sum", "dequeues")
 
     def __init__(self) -> None:
-        self._q: Deque[Message] = deque()
+        super().__init__()
         self.enqueued = 0
         self.dequeues = 0
         self.max_occupancy = 0
@@ -43,22 +48,16 @@ class SchedulerQueue:
 
     def push(self, msg: Message) -> None:
         """Append a message (FIFO) and update occupancy stats."""
-        self._q.append(msg)
+        self.append(msg)
         self.enqueued += 1
-        if len(self._q) > self.max_occupancy:
-            self.max_occupancy = len(self._q)
+        if len(self) > self.max_occupancy:
+            self.max_occupancy = len(self)
 
     def pop(self) -> Message:
         """Remove and return the oldest message."""
-        self.occupancy_sum += len(self._q)
+        self.occupancy_sum += len(self)
         self.dequeues += 1
-        return self._q.popleft()
-
-    def __len__(self) -> int:
-        return len(self._q)
-
-    def __bool__(self) -> bool:
-        return bool(self._q)
+        return self.popleft()
 
     @property
     def mean_occupancy(self) -> float:

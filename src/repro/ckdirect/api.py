@@ -204,8 +204,9 @@ def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
             pe.cursor, cause=tr.current,
             args={"bytes": nbytes, "dst_pe": handle.recv_pe.rank},
         )
-    rt.trace.count("ckdirect.puts")
-    rt.trace.count("ckdirect.put_bytes", nbytes)
+    counters = rt.trace.counters
+    counters["ckdirect.puts"] += 1
+    counters["ckdirect.put_bytes"] += nbytes
     src_rank, dst_rank = pe.rank, handle.recv_pe.rank
     if src_rank == dst_rank:
         # Same-PE channel: a local memcpy at shared-memory speed.

@@ -160,9 +160,13 @@ class Fabric(Entity):
             raise FabricError(
                 f"transfer start {start!r} precedes simulated now {self.sim.now!r}"
             )
-        if self.topology.same_node(src, dst):
+        topo = self.topology
+        src_node = topo.node_of(src)
+        dst_node = topo.node_of(dst)
+        counters = self.trace.counters
+        if src_node == dst_node:
             delivery = start + pre + self.p.shm_alpha + wire_bytes * self.p.shm_beta
-            self.trace.count("net.shm_transfers")
+            counters["net.shm_transfers"] += 1
             if self.tracer is not None:
                 self.tracer.instant(
                     self.trace_run, NET_TRACK, CAT_NET, "shm_transfer", delivery,
@@ -173,13 +177,12 @@ class Fabric(Entity):
 
         stream = wire_bytes * beta + lat_extra  # streaming (latency) part
         occ = wire_bytes * beta * self.p.occupancy_factor + ser_extra
-        src_node = self.topology.node_of(src)
-        dst_node = self.topology.node_of(dst)
         tx_start = max(start + pre, self._tx_free[src_node])
         self._tx_free[src_node] = tx_start + occ
-        head_arrival = tx_start + alpha + self.topology.hops(src, dst) * self.hop_latency
-        self.trace.count("net.transfers")
-        self.trace.count("net.bytes", wire_bytes)
+        head_arrival = (tx_start + alpha
+                        + topo.node_hops(src_node, dst_node) * self.hop_latency)
+        counters["net.transfers"] += 1
+        counters["net.bytes"] += wire_bytes
         if self._engine:
             # Engine semantics: the tx half (above) runs sender-side at
             # issue; the rx half is deferred until head arrival and

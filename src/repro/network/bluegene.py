@@ -120,10 +120,6 @@ class BGPFabric(Fabric):
         self.sim.at(delivery, cb)
         return delivery
 
-    def is_short(self, total_bytes: int) -> bool:
-        """DCMF short-message fast path (receipt handler does the copy)."""
-        return total_bytes < self.p.short_max
-
     # ------------------------------------------------------------------
     # The underlying DCMF primitive
     # ------------------------------------------------------------------
@@ -137,18 +133,21 @@ class BGPFabric(Fabric):
         cb: Callable[[], None],
         info_qwords: int = 0,
     ) -> float:
-        """One ``DCMF_Send``: issue + torus traversal + delivery callback."""
-        wire = total_bytes + info_qwords * self.p.quad_word
-        if self.is_short(total_bytes):
-            alpha = self.p.alpha_short
-            self.trace.count("bgp.dcmf_short")
+        """One ``DCMF_Send``: issue + torus traversal + delivery callback.
+
+        Below ``short_max`` bytes the short-message fast path applies:
+        a cheaper base latency, and the receipt handler does the copy.
+        """
+        p = self.p
+        wire = total_bytes + info_qwords * p.quad_word
+        if total_bytes < p.short_max:
+            alpha = p.alpha_short
+            self.trace.counters["bgp.dcmf_short"] += 1
         else:
-            alpha = self.p.alpha
-            self.trace.count("bgp.dcmf_normal")
-        return self.transfer(
-            src, dst, wire, start,
-            pre=self.p.issue_overhead, alpha=alpha, beta=self.p.beta, cb=cb,
-        )
+            alpha = p.alpha
+            self.trace.counters["bgp.dcmf_normal"] += 1
+        return self.transfer(src, dst, wire, start, p.issue_overhead, alpha,
+                             p.beta, cb)
 
     # ------------------------------------------------------------------
     # Transport services
@@ -156,18 +155,15 @@ class BGPFabric(Fabric):
 
     def recv_handler_cost(self, total_bytes: int) -> float:
         """Receive-side low-level handler cost for a message size."""
-        return (
-            self.p.handler_short
-            if self.is_short(total_bytes)
-            else self.p.handler_normal
-        )
+        p = self.p
+        return p.handler_short if total_bytes < p.short_max else p.handler_normal
 
     def charm_transport(
         self, src: int, dst: int, payload_bytes: int, start: float, cb: Callable[[], None]
     ) -> float:
         """Default Charm++ message: envelope rides the wire with the data."""
         total = payload_bytes + self.machine.charm.header_bytes
-        self.trace.count("bgp.charm_msg")
+        self.trace.counters["bgp.charm_msg"] += 1
         return self.dcmf_send(src, dst, total, start, cb)
 
     def direct_put(
@@ -175,7 +171,7 @@ class BGPFabric(Fabric):
     ) -> float:
         """CkDirect put: a DCMF_Send of the bare payload plus the
         two-quad-word Info header carrying the DCMF context (§2.2)."""
-        self.trace.count("bgp.ckdirect_put")
+        self.trace.counters["bgp.ckdirect_put"] += 1
         return self.dcmf_send(
             src, dst, nbytes, start, cb,
             info_qwords=self.p.info_qwords_ckdirect,

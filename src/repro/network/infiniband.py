@@ -83,7 +83,7 @@ class InfinibandFabric(Fabric):
         """Default Charm++ message transport (protocol chosen by size)."""
         total = payload_bytes + self.machine.charm.header_bytes
         proto = self.protocol_for(total)
-        self.trace.count(f"ib.charm.{proto}")
+        self.trace.counters[f"ib.charm.{proto}"] += 1
         if proto == "eager":
             return self.transfer(
                 src, dst, total, start,
@@ -135,7 +135,7 @@ class InfinibandFabric(Fabric):
         pre-registered destination.  No header, no protocol handshake,
         no registration on the critical path; small writes pay the DMA
         ramp (see :class:`IBParams`)."""
-        self.trace.count("ib.rdma_put")
+        self.trace.counters["ib.rdma_put"] += 1
         ramp = min(nbytes, self.p.rdma_ramp_cap) * self.p.rdma_ramp_per_byte
         return self.transfer(
             src, dst, nbytes, start,

@@ -5,7 +5,8 @@ A topology answers two questions the interconnect models ask:
 * :meth:`Topology.hops` — how many network hops separate two PEs'
   nodes (used by the Blue Gene/P torus latency model; the fat-tree
   model folds switch traversal into its base latency, so it reports a
-  constant),
+  constant).  :meth:`Topology.node_hops` answers the same for two node
+  indices, for a caller that has already resolved them,
 * :meth:`Topology.same_node` — whether two PEs share a node (intra-
   node transfers travel through shared memory, not the NIC).
 
@@ -58,6 +59,10 @@ class Topology:
 
     def hops(self, a: int, b: int) -> int:
         """Network hops between the nodes hosting PEs ``a`` and ``b``."""
+        return self.node_hops(self.node_of(a), self.node_of(b))
+
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between nodes ``na`` and ``nb``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -76,9 +81,9 @@ class FatTree(Topology):
     about IB path length, only about protocol costs.
     """
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        return 0 if self.same_node(a, b) else 1
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes."""
+        return 0 if na == nb else 1
 
 
 class Torus3D(Topology):
@@ -125,11 +130,8 @@ class Torus3D(Topology):
             raise TopologyError(f"node {node} out of range")
         return (node % X, (node // X) % Y, node // (X * Y))
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        na, nb = self.node_of(a), self.node_of(b)
-        if na == nb:
-            return 0
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes (memoised per pair)."""
         key = (na, nb)
         total = self._hops.get(key)
         if total is None:
@@ -157,9 +159,8 @@ class GraphTopology(Topology):
         super().__init__(self.graph.number_of_nodes(), cores_per_node)
         self._dist_cache: dict[int, dict[int, int]] = {}
 
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting two PEs."""
-        na, nb = self.node_of(a), self.node_of(b)
+    def node_hops(self, na: int, nb: int) -> int:
+        """Network hops between two nodes."""
         if na == nb:
             return 0
         if na not in self._dist_cache:

@@ -357,6 +357,14 @@ def supervise_conservative(rt: "Runtime", ctx, blocks: List[range],
     except RestartBudgetExceeded:
         sup.close(graceful_timeout=1.0)
         return _degrade_to_serial(rt, sup)
+    except ParallelEngineError:
+        # A worker's deterministic error ends the run.  The survivors
+        # wait at a barrier for a window that never comes (no EOF: each
+        # holds a copy of our end of its pipe) and have nothing to
+        # flush, so reap them now instead of joining each for the clean
+        # path's grace period.
+        sup.close(graceful_timeout=0.1)
+        raise
     finally:
         sup.close()
     for payload in finals:

@@ -6,6 +6,15 @@ always structurally on but cheap: counters are plain dict increments,
 and sample recording can be disabled wholesale for large performance
 runs.
 
+The sites that run once per message or put skip :meth:`Trace.count`
+and increment ``trace.counters[name]`` in place (the dict defaults to
+0): ``Runtime.send``, ``Fabric.transfer``, the transport services of
+both fabrics (``charm_transport``, ``dcmf_send``, ``direct_put``), a
+PE's message execution, direct completions and poll sweep, and
+``ckdirect.put``.  Every other site — reliability, simulated MPI,
+channel setup — calls ``count``.  Either way the same keys reach
+``counters``, in the same order.
+
 This module also provides :class:`RunningStats`, a numerically stable
 single-pass mean/variance accumulator (Welford), used for per-category
 timing summaries without storing every sample.

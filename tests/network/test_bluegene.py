@@ -21,10 +21,18 @@ def _cross_node_pair(fab):
 
 
 def test_short_message_threshold():
-    _, fab = _fab()
-    assert fab.is_short(0)
-    assert fab.is_short(223)
-    assert not fab.is_short(224)
+    """Below 224 bytes a DCMF send takes the short path, on the wire
+    and in the receive handler alike."""
+    sim, fab = _fab()
+    src, dst = _cross_node_pair(fab)
+    p = SURVEYOR.net
+    for nbytes, short in ((0, True), (223, True), (224, False)):
+        before = dict(fab.trace.counters)
+        fab.dcmf_send(src, dst, nbytes, sim.now, lambda: None)
+        kind = "bgp.dcmf_short" if short else "bgp.dcmf_normal"
+        assert fab.trace.counters[kind] == before.get(kind, 0) + 1
+        assert fab.recv_handler_cost(nbytes) == (
+            p.handler_short if short else p.handler_normal)
 
 
 def test_short_path_cheaper_alpha():

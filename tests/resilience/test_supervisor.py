@@ -16,6 +16,7 @@ import multiprocessing as mp
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -23,8 +24,9 @@ import repro
 
 from repro.config import MAX_WAIT_S, current, install
 from repro.faults import ProcFaultPlan, ProcFaultRule
-from repro.network.params import SURVEYOR
+from repro.network.params import ABE, SURVEYOR
 from repro.resilience import supervisor
+from repro.sim.parallel import ParallelEngineError
 from repro.sim.shm import active_segments
 
 CFG = dict(domain=(16, 16, 16), vr=2, iterations=3,
@@ -169,6 +171,34 @@ def test_zero_budget_degrades_on_first_failure(baseline, monkeypatch):
     assert sup["degraded"] and sup["restarts"] == 0
     assert _digest(r) == digest
     assert r.events == events
+
+
+# ---------------------------------------------------------------------------
+# Deterministic worker error: surfaces at once, survivors reaped
+# ---------------------------------------------------------------------------
+
+
+class _FailsOnShard1(repro.Chare):
+    def go(self):
+        if self.my_pe >= 16:  # ABE: PEs 16..31 are nodes 2-3, shard 1
+            raise RuntimeError(f"entry failed on PE {self.my_pe}")
+
+
+@pytest.mark.parametrize("transport", ["pipe", "shm"])
+def test_worker_error_surfaces_without_waiting_for_survivors(transport):
+    """A worker's entry-method error is not retried: the coordinator
+    raises it with the worker's traceback.  The surviving worker sits
+    at its barrier with nothing to flush, so it is reaped at once
+    rather than joined for the clean path's grace period."""
+    rt = repro.Runtime(ABE, 32, shards=2, transport=transport)
+    arr = rt.create_array(_FailsOnShard1, dims=(32,))
+    arr.proxy.bcast("go")
+    t0 = time.monotonic()
+    with pytest.raises(ParallelEngineError) as err:
+        rt.run()
+    assert time.monotonic() - t0 < 10.0
+    assert "shard 1 failed" in str(err.value)
+    assert "RuntimeError: entry failed on PE" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
