@@ -96,7 +96,7 @@ def run_matmul(
             f"matmul deadlocked: saw {monitor.barriers_seen} barriers, "
             f"expected {iterations + 1}"
         )
-    return MatMulResult(
+    result = MatMulResult(
         machine=machine.name,
         mode=mode,
         n_pes=n_pes,
@@ -107,6 +107,9 @@ def run_matmul(
         runtime=rt if keep_runtime else None,
         events=rt.events_processed,
     )
+    if not keep_runtime:
+        rt.close()
+    return result
 
 
 def matmul_point(

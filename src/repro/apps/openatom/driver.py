@@ -147,7 +147,7 @@ def run_openatom(
             f"openatom deadlocked: saw {monitor.barriers_seen} barriers, "
             f"expected {cfg.iterations + 1}"
         )
-    return OpenAtomResult(
+    result = OpenAtomResult(
         machine=machine.name,
         mode=mode,
         n_pes=n_pes,
@@ -156,6 +156,9 @@ def run_openatom(
         runtime=rt if keep_runtime else None,
         events=rt.events_processed,
     )
+    if not keep_runtime:
+        rt.close()
+    return result
 
 
 def openatom_point(

@@ -98,6 +98,7 @@ def charm_pingpong(
     )
     arr.proxy[0].start()
     rt.run()
+    rt.close()
     return PingpongResult("charm", machine.name, nbytes, iterations, rt.result_time,
                           events=rt.sim.events_processed)
 
@@ -190,6 +191,7 @@ def ckdirect_pingpong(
     )
     arr.proxy.bcast("setup")
     rt.run()
+    rt.close()
     return PingpongResult("ckdirect", machine.name, nbytes, iterations, rt.result_time,
                           events=rt.sim.events_processed)
 

@@ -104,7 +104,7 @@ def run_stencil(
             f"stencil deadlocked: saw {monitor.barriers_seen} barriers, "
             f"expected {iterations + 1}"
         )
-    return StencilResult(
+    result = StencilResult(
         machine=machine.name,
         mode=mode,
         n_pes=n_pes,
@@ -116,6 +116,9 @@ def run_stencil(
         runtime=rt if keep_runtime else None,
         events=rt.events_processed,
     )
+    if not keep_runtime:
+        rt.close()
+    return result
 
 
 def stencil_point(

@@ -333,6 +333,7 @@ def run_protocol_ablation(
             )
             arr.proxy[0].start()
             rt.run()
+            rt.close()
             results[proto].append(rt.result_time * 1e6)
     report = render_series(
         "Ablation A2: forced two-sided protocol vs message size (Abe)",

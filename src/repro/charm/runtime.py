@@ -17,6 +17,9 @@ Typical driver::
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
 
@@ -42,6 +45,31 @@ from .reduction import CONTROL_BYTES, ReductionManager
 
 #: argument types that make a message carry bulk data.
 _BULK = (Payload, np.ndarray)
+
+# The cyclic collector is process-wide, while runs overlap: ``repro
+# serve`` runs jobs on executor threads, and a host callback may start
+# a nested run.  So the first run to start turns the collector off and
+# the last one to end puts back the state the first one found.
+_gc_lock = threading.Lock()
+_gc_runs = 0
+_gc_was_enabled = False
+
+
+@contextmanager
+def _collector_off():
+    global _gc_runs, _gc_was_enabled
+    with _gc_lock:
+        if _gc_runs == 0:
+            _gc_was_enabled = gc.isenabled()
+            gc.disable()
+        _gc_runs += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_runs -= 1
+            if _gc_runs == 0 and _gc_was_enabled:
+                gc.enable()
 
 
 class _PEAgent(Chare):
@@ -111,9 +139,11 @@ class Runtime:
         self.machine = machine
         # Every queue implementation pops the same (time, priority,
         # seq) order, so results are bit-identical whichever backs it.
-        self.sim = make_simulator(cfg.eventq)
+        self.sim = sim = make_simulator(cfg.eventq)
+        # The clock closes over the simulator, not the runtime, so the
+        # trace and the runtime form no cycle.
         self.trace = Trace(record_samples=record_samples,
-                           now_fn=lambda: self.sim.now)
+                           now_fn=lambda: sim.now)
         #: timeline tracer (None = tracing off, the near-zero-cost
         #: default); falls back to the ambient tracer installed by the
         #: CLI's --trace-out / profile paths.
@@ -482,14 +512,48 @@ class Runtime:
         With ``shards`` set (and no fault machinery forcing the legacy
         engine) a full run is dispatched to the sharded parallel engine;
         bounded runs (``until``/``max_events``) stay in-process.
+
+        The cyclic collector is off for the run: the event loop makes
+        no cyclic garbage, and each full collection would walk every
+        live PE, chare, handle and buffer.  Shard workers fork with it
+        off.  The caller's setting is back when ``run`` returns or
+        raises.
         """
-        if self.fabric._engine and until is None and max_events is None:
-            from ..sim.parallel import run_sharded
-            return run_sharded(self)
-        if self._pending_host_sends or self._defer_host_sends:
-            self._flush_host_sends()
-        self.sim.run(until=until, max_events=max_events)
-        return self.sim.now
+        with _collector_off():
+            if self.fabric._engine and until is None and max_events is None:
+                from ..sim.parallel import run_sharded
+                return run_sharded(self)
+            if self._pending_host_sends or self._defer_host_sends:
+                self._flush_host_sends()
+            self.sim.run(until=until, max_events=max_events)
+            return self.sim.now
+
+    def close(self) -> None:
+        """Free a finished run by reference counting.
+
+        Cuts the cycles that tie the runtime to its PEs, arrays,
+        sections, collectives, host-state objects and handles, each
+        array to its proxy and elements, each chare to the CkDirect
+        handles whose callbacks are its bound methods, and each PE to
+        the handles in its poll queue.  The run's records stay:
+        ``trace``, ``sim`` (``now``, ``events_processed``),
+        ``transport_stats``, ``supervision``, ``parallel_rounds`` and
+        ``shard_cpu_times``.  A closed runtime cannot run again.  The
+        drivers call this once they have read their results.
+        """
+        for arr in self.arrays.values():
+            for elem in arr.elements.values():
+                vars(elem).clear()
+            vars(arr).clear()
+        for pe in self.pes:
+            pe.pollq.clear()
+        self.pes = []
+        self.arrays = {}
+        self.sections = {}
+        self.agents = None
+        self.reductions = None
+        self._handles = {}
+        self._host_state = []
 
     @property
     def makespan(self) -> float:

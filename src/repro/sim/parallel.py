@@ -281,6 +281,15 @@ def _host_payload(rt: "Runtime") -> list:
     ]
 
 
+def _queue_stats(q) -> tuple:
+    """A scheduler queue's four statistics, in shipping order."""
+    return (q.enqueued, q.dequeues, q.max_occupancy, q.occupancy_sum)
+
+
+def _set_queue_stats(q, stats: tuple) -> None:
+    q.enqueued, q.dequeues, q.max_occupancy, q.occupancy_sum = stats
+
+
 def _final_payload(rt: "Runtime", block: range, base: dict) -> dict:
     """What a worker shard ships home after its last window."""
     counters = {
@@ -288,10 +297,11 @@ def _final_payload(rt: "Runtime", block: range, base: dict) -> dict:
         for name, val in rt.trace.counters.items()
         if val != base["counters"].get(name, 0)
     }
-    pes = {
-        r: (rt.pes[r].busy_until, rt.pes[r].busy_time)
-        for r in _owned_ranks(rt, block)
-    }
+    pes = {}
+    for r in _owned_ranks(rt, block):
+        pe = rt.pes[r]
+        pes[r] = (pe.busy_until, pe.busy_time, _queue_stats(pe.queue),
+                  _queue_stats(pe.internal_queue))
     states: Dict[tuple, dict] = {}
     owned = set(_owned_ranks(rt, block))
     for aid, arr in rt.arrays.items():
@@ -333,9 +343,12 @@ def _merge_final(rt: "Runtime", payload: dict) -> None:
         rt.trace.stats[name].merge(st)
     for name, samples in payload["samples"].items():
         rt.trace.samples[name].extend(samples)
-    for rank, (busy_until, busy_time) in payload["pes"].items():
-        rt.pes[rank].busy_until = busy_until
-        rt.pes[rank].busy_time = busy_time
+    for rank, (busy_until, busy_time, queue, internal) in payload["pes"].items():
+        pe = rt.pes[rank]
+        pe.busy_until = busy_until
+        pe.busy_time = busy_time
+        _set_queue_stats(pe.queue, queue)
+        _set_queue_stats(pe.internal_queue, internal)
     for (aid, idx), state in payload["states"].items():
         rt.arrays[aid].elements[idx].shard_load(state)
     for obj, attrs in zip(rt._host_state, payload.get("host", ())):

@@ -113,8 +113,9 @@ class Trace:
     now_fn:
         Clock callable used to stamp samples whose caller passes no
         explicit time.  The owning runtime wires its simulator clock in
-        here (``now_fn=lambda: self.sim.now``) so retained samples carry
-        simulated time rather than a meaningless 0.0.
+        here (``now_fn=lambda: sim.now``, closing over the simulator
+        rather than the runtime) so retained samples carry simulated
+        time rather than a meaningless 0.0.
     """
 
     def __init__(

@@ -31,19 +31,19 @@ DIGESTS = {
     ("Abe", "msg", None):
         "9383210d48a912769a1a9b84ea1c16bfe17bcf04c45c26a9f44b5d838ec8d73a",
     ("Abe", "msg", 2):
-        "28cdc54a0df17750d93c2743f60f5fbaa5a98f9f4acddbda9f9d6f2e191ad1da",
+        "20054e92200235d3ec9d0b9927f0b43f0c60ecec2dd7c236d55e1590340b1ea4",
     ("Abe", "ckd", None):
         "15a301774d28c1a37b8b695e220eb60be8f68832424d7069cb687883f5049e52",
     ("Abe", "ckd", 2):
-        "f3f38df520127736e418c19249c9d16b5bc01de1f3e57e48bb79c83f4d00c87a",
+        "97d6b34937380b8c613e043634b5151fe2b14658bcc7b9ca692fbfc0e20dcf65",
     ("Surveyor", "msg", None):
         "d662a25ace0b8098eff54e688eafb11d18236088bfdbbec71a753743210effa8",
     ("Surveyor", "msg", 2):
-        "f53074481d9d8a7307dd0b8052ab89c7c645ccdf51f93ad8a4eeecfa3c11fa04",
+        "1fcedc6fcbc63b8d9b3a417d9f4784a827e2dba8c4188ae53e7c0a0b11d309be",
     ("Surveyor", "ckd", None):
         "66ad2b6d012e1e8ada1e040494662be8e64effa837491c2701f7f12f9b8186e9",
     ("Surveyor", "ckd", 2):
-        "d77f9dfb277dcc28f48ba857c42ee4fb503e266f859cafdfb4e4d24f76459b8c",
+        "66de02231303a2d98e091e077ceeefc57f2ccaa61802d39ecdc7b4ff6e162ce5",
 }
 
 

@@ -125,6 +125,15 @@ def _stencil(shards, machine=ABE, **kw):
     return r, gather_grid(r)
 
 
+def _queue_stats(result):
+    """Every PE's app and internal scheduler-queue statistics."""
+    return [
+        (q.enqueued, q.dequeues, q.max_occupancy, q.occupancy_sum)
+        for pe in result.runtime.pes
+        for q in (pe.queue, pe.internal_queue)
+    ]
+
+
 def test_stencil_bit_identical_across_shards():
     legacy, legacy_grid = _stencil(None)
     one, one_grid = _stencil(1)
@@ -136,9 +145,11 @@ def test_stencil_bit_identical_across_shards():
     assert np.array_equal(one_grid, legacy_grid)
 
     # engine baseline vs sharded: bit-identical, including event counts
+    # and every PE's scheduler-queue statistics
     assert two.iter_times == one.iter_times
     assert two.events == one.events
     assert np.array_equal(two_grid, one_grid)
+    assert _queue_stats(two) == _queue_stats(one)
 
 
 @pytest.mark.xfail(strict=True, reason="the serial path reserves "
@@ -165,6 +176,7 @@ def test_stencil_four_shards_on_torus():
     assert four.iter_times == one.iter_times
     assert four.events == one.events
     assert np.array_equal(four_grid, one_grid)
+    assert _queue_stats(four) == _queue_stats(one)
 
 
 def test_matmul_bit_identical_across_shards():
@@ -180,6 +192,7 @@ def test_matmul_bit_identical_across_shards():
     assert two.iter_times == one.iter_times
     assert two.events == one.events
     assert np.array_equal(c_two, c_one)
+    assert _queue_stats(two) == _queue_stats(one)
 
 
 def test_openatom_bit_identical_across_shards():
