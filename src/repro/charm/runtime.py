@@ -107,6 +107,8 @@ class Runtime:
     may also be passed alone to run the protocol on a perfect fabric.
     Without either, none of that machinery exists — the fabric methods
     are unwrapped and the put path is the paper's fire-and-forget one.
+    Either one with an explicit ``shards`` count raises
+    :class:`CharmError`: a faulted run is serial.
     """
 
     #: how the sharded engine (``--shards N``) synchronizes: epoch
@@ -132,6 +134,14 @@ class Runtime:
             cfg = current().replace(shards=shards, transport=transport)
         except ConfigError as exc:
             raise CharmError(str(exc)) from None
+        if shards is not None and (fault_plan is not None
+                                   or reliability is not None):
+            # The fault injector and the reliability watchdog read
+            # cross-PE state synchronously, so they cannot be sharded.
+            raise CharmError(
+                f"shards={shards} cannot run with fault injection or the "
+                "reliability layer; leave shards unset for a faulted run"
+            )
         #: shard IPC transport: "pipe" (Connection reference path) or
         #: "shm" (one-sided sentinel rings, see repro.sim.shm).
         #: Results are bit-identical either way — it only moves bytes.
@@ -212,13 +222,7 @@ class Runtime:
         #: (transport name, frames, bytes, spills), or None when the
         #: run was serial.
         self.transport_stats: Optional[Dict[str, Any]] = None
-        if shards is not None and self.fault_injector is None \
-                and self.reliability is None:
-            # Engine semantics: requested explicitly and no fault/
-            # reliability machinery (whose watchdog and injector read
-            # cross-PE state synchronously) is present.  With faults the
-            # run silently keeps the legacy serial engine, so faulted
-            # runs stay byte-identical at any --shards count.
+        if shards is not None:
             self.fabric.enable_engine()
             self._defer_host_sends = True
         self.n_pes = n_pes
@@ -509,9 +513,9 @@ class Runtime:
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run the simulation; returns the final simulated time.
 
-        With ``shards`` set (and no fault machinery forcing the legacy
-        engine) a full run is dispatched to the sharded parallel engine;
-        bounded runs (``until``/``max_events``) stay in-process.
+        With ``shards`` set a full run is dispatched to the sharded
+        parallel engine; bounded runs (``until``/``max_events``) stay
+        in-process.
 
         The cyclic collector is off for the run: the event loop makes
         no cyclic garbage, and each full collection would walk every

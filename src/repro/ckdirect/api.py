@@ -260,7 +260,13 @@ def _complete(handle: CkDirectHandle, snap=None) -> None:
 #     │ timeout                          ack(n) ◄── small charm msg ──
 #     ├─ attempt < max: retransmit n
 #     └─ attempt = max: degrade handle, send n via charm_transport
-#   ack(n): cancel RTO, put resolved
+#   ack(n): put resolved
+#
+# Timers are never withdrawn.  Each one carries the (seq, attempt) it
+# was armed for and acts only while that is still the handle's current
+# put and attempt, the put is unacknowledged and the handle is not
+# degraded; a timer superseded by an ack, a retransmit or a newer put
+# fires as a no-op.
 #
 # A PollWatchdog (charm/scheduler.py) periodically scans unresolved
 # puts: torn landings are repaired locally, lost deliveries have their
@@ -308,17 +314,16 @@ def _send_attempt(handle: CkDirectHandle, seq: int, start: float) -> None:
         handle.src_pe.rank, handle.recv_pe.rank, nbytes, start,
         lambda: _reliable_deliver(handle, seq, torn),
     )
-    handle.rto_event = rt.sim.at(
-        start + rel.rto(handle.attempt), _on_timeout, handle, seq
-    )
+    rt.sim.at(start + rel.rto(handle.attempt), _on_timeout,
+              handle, seq, handle.attempt)
 
 
-def _on_timeout(handle: CkDirectHandle, seq: int) -> None:
+def _on_timeout(handle: CkDirectHandle, seq: int, attempt: int) -> None:
     """Retransmit timeout: try again, or give up and degrade."""
+    if (seq != handle.put_seq or handle.acked_seq >= seq
+            or handle.degraded or attempt != handle.attempt):
+        return  # superseded: acked, retransmitted, degraded or a newer put
     rt = handle.rt
-    handle.rto_event = None
-    if handle.acked_seq >= seq or seq != handle.put_seq:
-        return  # stale timer from a put already resolved/superseded
     now = rt.sim.now
     if handle.attempt >= rt.reliability.max_attempts:
         # Graceful degradation: this put — and every later one on this
@@ -420,12 +425,7 @@ def _on_ack(handle: CkDirectHandle, seq: int) -> None:
     handle.acked_seq = seq
     rt.trace.count("ckdirect.acks_received")
     if seq >= handle.put_seq:
-        # The newest put resolved: disarm its timer.  (An ack for an
-        # older put must leave the current put's timer alone.)
-        ev = handle.rto_event
-        if ev is not None:
-            ev.cancel()
-            handle.rto_event = None
+        # The newest put resolved; its timer now fires as a no-op.
         rt._note_acked(handle)
 
 
@@ -454,10 +454,7 @@ def _watchdog_recover(handle: CkDirectHandle, seq: int) -> None:
         _send_ack(handle, seq)
         _notify_arrival(handle)
         return
-    ev = handle.rto_event
-    if ev is not None:
-        ev.cancel()
-        _on_timeout(handle, seq)
+    _on_timeout(handle, seq, handle.attempt)
 
 
 # ---------------------------------------------------------------------------

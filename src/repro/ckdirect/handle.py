@@ -109,7 +109,6 @@ class CkDirectHandle:
         "attempt",
         "degraded",
         "put_issue_time",
-        "rto_event",
         "watchdog_fired_seq",
         "torn_landed",
         "_torn_true_last",
@@ -159,7 +158,6 @@ class CkDirectHandle:
         self.attempt = 0  # RDMA attempts for the current put
         self.degraded = False  # permanently on the charm_transport path
         self.put_issue_time = 0.0
-        self.rto_event = None  # pending retransmit-timeout sim event
         self.watchdog_fired_seq = 0  # once-per-stall watchdog filter
         self.torn_landed = False  # payload present, sentinel lost
         self._torn_true_last = None

@@ -132,7 +132,9 @@ def _parser() -> argparse.ArgumentParser:
                         "engine (default: $REPRO_SHARDS, else the "
                         "legacy serial engine; output is identical "
                         "at any explicit N, but on Infiniband the "
-                        "serial default can differ from it)")
+                        "serial default can differ from it; faulted "
+                        "runs are serial, so `chaos` refuses it "
+                        "unless --proc runs alone)")
     p.add_argument("--eventq", default=None, metavar="IMPL",
                    choices=list(EVENTQ_CHOICES),
                    help="event-queue implementation: auto (default, "
@@ -287,8 +289,15 @@ def _run(args, cfg: RunConfig) -> int:
             except FaultConfigError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
+            run_fabric = fabric_profiles is None or bool(fabric_profiles)
+            if run_fabric and cfg.shards is not None:
+                print("error: the chaos fabric matrix runs serially "
+                      "(fault injection cannot be sharded); drop --shards "
+                      "and REPRO_SHARDS, or run --proc alone",
+                      file=sys.stderr)
+                return 2
             first = True
-            if fabric_profiles is None or fabric_profiles:
+            if run_fabric:
                 out = run_chaos(profiles=fabric_profiles)
                 print(out["report"])
                 if not out["ok"]:

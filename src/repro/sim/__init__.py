@@ -3,9 +3,10 @@
 Public surface:
 
 * :class:`Simulator` — the event loop and clock (heap reference).
+  Scheduling is one-way: ``at``/``schedule`` queue
+  ``(time, priority, seq, fn, args)`` and return nothing.
 * :func:`make_simulator` — build on the selected event-queue
   implementation (``--eventq``; see :mod:`repro.sim.eventq`).
-* :class:`Event` — a cancellable scheduled callback.
 * :class:`Entity` — base class for things living in simulated time.
 * :class:`Trace`, :class:`RunningStats` — statistics collection.
 * :mod:`repro.sim.rng` — deterministic random streams.
@@ -13,7 +14,6 @@ Public surface:
 
 from .engine import SimulationError, Simulator
 from .entity import Entity
-from .event import Event
 from .eventq import (
     CalendarSimulator,
     compiled_available,
@@ -26,7 +26,6 @@ from .trace import RunningStats, Sample, Trace
 __all__ = [
     "Simulator",
     "SimulationError",
-    "Event",
     "Entity",
     "Trace",
     "RunningStats",

@@ -3,7 +3,9 @@
  * A CPython C implementation of the simulator hot path: the ladder
  * variant of a calendar queue (sorted current rung drained by index,
  * unsorted future rung, O(1) appends, one sort per refill) plus the
- * schedule / at / run / run_before loops, and a C-level Event type.
+ * schedule / at / run / run_before loops.  Scheduling is one-way: each
+ * queue entry holds the callback and its argument tuple, and nothing
+ * is returned to the caller: a queued event always fires.
  *
  * Semantics mirror repro.sim.engine.Simulator exactly: events are
  * totally ordered by (time, priority, seq); time arithmetic is IEEE
@@ -18,7 +20,6 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
-#include <structmember.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -30,7 +31,8 @@ typedef struct {
     double time;
     long prio;
     long long seq;
-    PyObject *ev;          /* strong ref to CEvent */
+    PyObject *fn;          /* strong */
+    PyObject *args;        /* strong, tuple */
 } Entry;
 
 /* (time, priority, seq) lexicographic; seq unique => never equal. */
@@ -57,22 +59,9 @@ entry_cmp_qsort(const void *pa, const void *pb)
 
 typedef struct {
     PyObject_HEAD
-    double time;
-    long priority;
-    long long seq;
-    PyObject *fn;          /* strong */
-    PyObject *args;        /* strong, tuple */
-    PyObject *sim;         /* strong ref to owning CalSim, or NULL */
-    char cancelled;
-    char popped;
-} CEventObject;
-
-typedef struct {
-    PyObject_HEAD
     double now;
     long long seq;
     long long events_processed;
-    long long cancelled_pending;   /* cancelled but still queued */
     int running;
     /* current rung: sorted ascending, drained via cur_pos */
     Entry *cur;
@@ -82,192 +71,10 @@ typedef struct {
     Py_ssize_t top_len, top_cap;
 } CalSimObject;
 
-static PyTypeObject CEvent_Type;
 static PyTypeObject CalSim_Type;
 static PyObject *SimulationError;   /* borrowed from repro.sim.engine */
 
-#define COMPACT_MIN 64
 #define TRIM_POS 4096
-
-static void calsim_note_cancel(CalSimObject *self);
-
-/* ------------------------------------------------------------------ */
-/* CEvent                                                             */
-/* ------------------------------------------------------------------ */
-
-static CEventObject *cevent_freelist[64];
-static int cevent_numfree = 0;
-
-static CEventObject *
-cevent_new(double time, long priority, long long seq,
-           PyObject *fn, PyObject *args, PyObject *sim)
-{
-    CEventObject *ev;
-    if (cevent_numfree) {
-        ev = cevent_freelist[--cevent_numfree];
-        _Py_NewReference((PyObject *)ev);
-    }
-    else {
-        ev = PyObject_GC_New(CEventObject, &CEvent_Type);
-        if (ev == NULL)
-            return NULL;
-    }
-    ev->time = time;
-    ev->priority = priority;
-    ev->seq = seq;
-    Py_INCREF(fn);
-    ev->fn = fn;
-    Py_INCREF(args);
-    ev->args = args;
-    Py_XINCREF(sim);
-    ev->sim = sim;
-    ev->cancelled = 0;
-    ev->popped = 0;
-    PyObject_GC_Track(ev);
-    return ev;
-}
-
-static void
-cevent_dealloc(CEventObject *self)
-{
-    PyObject_GC_UnTrack(self);
-    Py_CLEAR(self->fn);
-    Py_CLEAR(self->args);
-    Py_CLEAR(self->sim);
-    if (cevent_numfree < 64 && Py_TYPE(self) == &CEvent_Type)
-        cevent_freelist[cevent_numfree++] = self;
-    else
-        PyObject_GC_Del(self);
-}
-
-static int
-cevent_traverse(CEventObject *self, visitproc visit, void *arg)
-{
-    Py_VISIT(self->fn);
-    Py_VISIT(self->args);
-    Py_VISIT(self->sim);
-    return 0;
-}
-
-static int
-cevent_clear(CEventObject *self)
-{
-    Py_CLEAR(self->fn);
-    Py_CLEAR(self->args);
-    Py_CLEAR(self->sim);
-    return 0;
-}
-
-static PyObject *
-cevent_cancel(CEventObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (!self->cancelled) {
-        self->cancelled = 1;
-        /* PyObject_TypeCheck, not an exact match: the Python wrapper
-         * (CompiledSimulator) subclasses CalendarSimCore. */
-        if (!self->popped && self->sim != NULL &&
-            PyObject_TypeCheck(self->sim, &CalSim_Type))
-            calsim_note_cancel((CalSimObject *)self->sim);
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-cevent_fire(CEventObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->cancelled)
-        Py_RETURN_NONE;
-    PyObject *res = PyObject_Call(self->fn, self->args, NULL);
-    if (res == NULL)
-        return NULL;
-    Py_DECREF(res);
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-cevent_sort_key(CEventObject *self, PyObject *Py_UNUSED(ignored))
-{
-    return Py_BuildValue("(dlL)", self->time, self->priority, self->seq);
-}
-
-static PyObject *
-cevent_richcompare(PyObject *a, PyObject *b, int op)
-{
-    if (op != Py_LT || Py_TYPE(a) != &CEvent_Type || Py_TYPE(b) != &CEvent_Type)
-        Py_RETURN_NOTIMPLEMENTED;
-    CEventObject *ea = (CEventObject *)a, *eb = (CEventObject *)b;
-    Entry x = {ea->time, ea->priority, ea->seq, NULL};
-    Entry y = {eb->time, eb->priority, eb->seq, NULL};
-    return PyBool_FromLong(entry_lt(&x, &y));
-}
-
-static PyObject *
-cevent_get_cancelled(CEventObject *self, void *closure)
-{
-    return PyBool_FromLong(self->cancelled);
-}
-
-static PyObject *
-cevent_repr(CEventObject *self)
-{
-    PyObject *t = PyFloat_FromDouble(self->time);
-    if (t == NULL)
-        return NULL;
-    PyObject *out = PyUnicode_FromFormat(
-        "<Event t=%R prio=%ld seq=%lld%s>",
-        t, self->priority, self->seq,
-        self->cancelled ? " CANCELLED" : "");
-    Py_DECREF(t);
-    return out;
-}
-
-static PyMethodDef cevent_methods[] = {
-    {"cancel", (PyCFunction)cevent_cancel, METH_NOARGS,
-     "Mark the event so it is skipped when popped."},
-    {"fire", (PyCFunction)cevent_fire, METH_NOARGS,
-     "Invoke the callback unless cancelled."},
-    {"sort_key", (PyCFunction)cevent_sort_key, METH_NOARGS,
-     "The (time, priority, seq) ordering tuple."},
-    {NULL}
-};
-
-static PyMemberDef cevent_members[] = {
-    {"time", T_DOUBLE, offsetof(CEventObject, time), READONLY, NULL},
-    {"priority", T_LONG, offsetof(CEventObject, priority), READONLY, NULL},
-    {"fn", T_OBJECT, offsetof(CEventObject, fn), READONLY, NULL},
-    {"args", T_OBJECT, offsetof(CEventObject, args), READONLY, NULL},
-    {NULL}
-};
-
-static PyObject *
-cevent_get_seq(CEventObject *self, void *closure)
-{
-    return PyLong_FromLongLong(self->seq);
-}
-
-static PyGetSetDef cevent_getset[] = {
-    {"seq", (getter)cevent_get_seq, NULL, NULL, NULL},
-    {"cancelled", (getter)cevent_get_cancelled, NULL,
-     "True once cancel() was called.", NULL},
-    {"_cancelled", (getter)cevent_get_cancelled, NULL, NULL, NULL},
-    {NULL}
-};
-
-static PyTypeObject CEvent_Type = {
-    PyVarObject_HEAD_INIT(NULL, 0)
-    .tp_name = "repro.sim._ceventq.Event",
-    .tp_basicsize = sizeof(CEventObject),
-    .tp_dealloc = (destructor)cevent_dealloc,
-    .tp_repr = (reprfunc)cevent_repr,
-    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "A pending callback in simulated time (compiled core).",
-    .tp_traverse = (traverseproc)cevent_traverse,
-    .tp_clear = (inquiry)cevent_clear,
-    .tp_richcompare = cevent_richcompare,
-    .tp_methods = cevent_methods,
-    .tp_members = cevent_members,
-    .tp_getset = cevent_getset,
-};
 
 /* ------------------------------------------------------------------ */
 /* CalSim storage helpers                                             */
@@ -313,8 +120,8 @@ cur_insort(CalSimObject *self, const Entry *e)
     return 0;
 }
 
-/* Push one entry; steals no references (caller must own e->ev and
- * keep that ownership transferring into the queue). */
+/* Push one entry; on success the queue owns the references held in
+ * e->fn and e->args. */
 static int
 queue_push(CalSimObject *self, const Entry *e)
 {
@@ -365,46 +172,6 @@ queue_refill(CalSimObject *self)
     return self->cur_len - self->cur_pos;
 }
 
-static void
-calsim_note_cancel(CalSimObject *self)
-{
-    self->cancelled_pending++;
-    Py_ssize_t pending = (self->cur_len - self->cur_pos) + self->top_len;
-    if (self->cancelled_pending > COMPACT_MIN &&
-        self->cancelled_pending * 2 > pending) {
-        /* Compact in place: the run loop re-reads cur/cur_pos after
-         * every callback and holds no Entry pointer across one, so
-         * filtering the live regions here (possibly mid-run, from a
-         * cancel inside a callback) is safe.  Only the unread tail of
-         * cur moves; cur_pos stays valid. */
-        Entry *cur = self->cur;
-        Py_ssize_t w = self->cur_pos;
-        for (Py_ssize_t i = self->cur_pos; i < self->cur_len; i++) {
-            CEventObject *ev = (CEventObject *)cur[i].ev;
-            if (ev->cancelled) {
-                ev->popped = 1;
-                Py_DECREF(ev);
-            }
-            else
-                cur[w++] = cur[i];
-        }
-        self->cur_len = w;
-        Entry *top = self->top;
-        Py_ssize_t tw = 0;
-        for (Py_ssize_t i = 0; i < self->top_len; i++) {
-            CEventObject *ev = (CEventObject *)top[i].ev;
-            if (ev->cancelled) {
-                ev->popped = 1;
-                Py_DECREF(ev);
-            }
-            else
-                top[tw++] = top[i];
-        }
-        self->top_len = tw;
-        self->cancelled_pending = 0;
-    }
-}
-
 /* ------------------------------------------------------------------ */
 /* CalSim lifecycle                                                   */
 /* ------------------------------------------------------------------ */
@@ -418,7 +185,6 @@ calsim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->now = 0.0;
     self->seq = 0;
     self->events_processed = 0;
-    self->cancelled_pending = 0;
     self->running = 0;
     self->cur = NULL;
     self->cur_len = self->cur_cap = self->cur_pos = 0;
@@ -430,10 +196,14 @@ calsim_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 static int
 calsim_traverse(CalSimObject *self, visitproc visit, void *arg)
 {
-    for (Py_ssize_t i = self->cur_pos; i < self->cur_len; i++)
-        Py_VISIT(self->cur[i].ev);
-    for (Py_ssize_t i = 0; i < self->top_len; i++)
-        Py_VISIT(self->top[i].ev);
+    for (Py_ssize_t i = self->cur_pos; i < self->cur_len; i++) {
+        Py_VISIT(self->cur[i].fn);
+        Py_VISIT(self->cur[i].args);
+    }
+    for (Py_ssize_t i = 0; i < self->top_len; i++) {
+        Py_VISIT(self->top[i].fn);
+        Py_VISIT(self->top[i].args);
+    }
     return 0;
 }
 
@@ -445,14 +215,17 @@ calsim_clear_entries(CalSimObject *self)
     Entry *cur = self->cur;
     Py_ssize_t lo = self->cur_pos, hi = self->cur_len;
     self->cur_len = self->cur_pos = 0;
-    for (Py_ssize_t i = lo; i < hi; i++)
-        Py_DECREF(cur[i].ev);
+    for (Py_ssize_t i = lo; i < hi; i++) {
+        Py_DECREF(cur[i].fn);
+        Py_DECREF(cur[i].args);
+    }
     Entry *top = self->top;
     Py_ssize_t tn = self->top_len;
     self->top_len = 0;
-    for (Py_ssize_t i = 0; i < tn; i++)
-        Py_DECREF(top[i].ev);
-    self->cancelled_pending = 0;
+    for (Py_ssize_t i = 0; i < tn; i++) {
+        Py_DECREF(top[i].fn);
+        Py_DECREF(top[i].args);
+    }
     return 0;
 }
 
@@ -500,30 +273,22 @@ parse_priority(PyObject *kwds, const char *fname, long *priority)
     return 0;
 }
 
-/* Shared tail of schedule()/at(): build the event, push, return it. */
+/* Shared tail of schedule()/at(): queue (t, priority, seq, fn, args). */
 static PyObject *
 schedule_common(CalSimObject *self, double t, long priority, PyObject *args)
 {
     PyObject *cb_args = PyTuple_GetSlice(args, 2, PyTuple_GET_SIZE(args));
     if (cb_args == NULL)
         return NULL;
-    long long seq = self->seq++;
-    CEventObject *ev = cevent_new(t, priority, seq, PyTuple_GET_ITEM(args, 1),
-                                  cb_args, (PyObject *)self);
-    Py_DECREF(cb_args);
-    if (ev == NULL) {
-        self->seq--;
-        return NULL;
-    }
-    Entry e = {t, priority, seq, (PyObject *)ev};
-    Py_INCREF(ev);                    /* the queue's reference */
+    PyObject *fn = PyTuple_GET_ITEM(args, 1);
+    Entry e = {t, priority, self->seq, fn, cb_args};
     if (queue_push(self, &e) < 0) {
-        self->seq--;
-        Py_DECREF(ev);
-        Py_DECREF(ev);
+        Py_DECREF(cb_args);
         return NULL;
     }
-    return (PyObject *)ev;
+    Py_INCREF(fn);      /* the queue's references: fn, and cb_args' own */
+    self->seq++;
+    Py_RETURN_NONE;
 }
 
 static PyObject *
@@ -576,10 +341,19 @@ calsim_at(CalSimObject *self, PyObject *args, PyObject *kwds)
 /* Execution                                                          */
 /* ------------------------------------------------------------------ */
 
+/* Pop the entry at cur_pos and call it.  The pointer into cur is
+ * stale once the callback runs (insort shifts or reallocs cur), so
+ * the callback and its arguments are taken out first; the queue's
+ * references are released after the call. */
 static int
-fire_event(CEventObject *ev)
+fire_next(CalSimObject *self)
 {
-    PyObject *res = PyObject_Call(ev->fn, ev->args, NULL);
+    Entry *e = &self->cur[self->cur_pos++];
+    PyObject *fn = e->fn, *args = e->args;
+    self->now = e->time;
+    PyObject *res = PyObject_Call(fn, args, NULL);
+    Py_DECREF(fn);
+    Py_DECREF(args);
     if (res == NULL)
         return -1;
     Py_DECREF(res);
@@ -624,29 +398,14 @@ calsim_run(CalSimObject *self, PyObject *args, PyObject *kwds)
             break;
         }
         cur_trim(self);
-        Entry *e = &self->cur[self->cur_pos];
-        CEventObject *ev = (CEventObject *)e->ev;
-        if (ev->cancelled) {
-            self->cur_pos++;
-            ev->popped = 1;
-            self->cancelled_pending--;
-            Py_DECREF(ev);
-            continue;
-        }
-        if (has_until && e->time > until) {
+        if (has_until && self->cur[self->cur_pos].time > until) {
             self->now = until;
             self->events_processed += fired;
             self->running = 0;
             Py_RETURN_NONE;
         }
-        self->cur_pos++;
-        ev->popped = 1;
-        self->now = e->time;
         fired++;
-        /* After the callback the entry pointer may be stale (insort
-         * shifts or reallocs cur) — never touch e again. */
-        err = fire_event(ev);
-        Py_DECREF(ev);
+        err = fire_next(self);
         if (err < 0)
             break;
     }
@@ -680,23 +439,10 @@ calsim_run_before(CalSimObject *self, PyObject *arg)
         if (queue_refill(self) == 0)
             break;
         cur_trim(self);
-        Entry *e = &self->cur[self->cur_pos];
-        CEventObject *ev = (CEventObject *)e->ev;
-        if (ev->cancelled) {
-            self->cur_pos++;
-            ev->popped = 1;
-            self->cancelled_pending--;
-            Py_DECREF(ev);
-            continue;
-        }
-        if (e->time >= bound)
+        if (self->cur[self->cur_pos].time >= bound)
             break;
-        self->cur_pos++;
-        ev->popped = 1;
-        self->now = e->time;
         fired++;
-        err = fire_event(ev);
-        Py_DECREF(ev);
+        err = fire_next(self);
         if (err < 0)
             break;
     }
@@ -708,54 +454,11 @@ calsim_run_before(CalSimObject *self, PyObject *arg)
 }
 
 static PyObject *
-calsim_step(CalSimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    for (;;) {
-        if (queue_refill(self) == 0)
-            Py_RETURN_FALSE;
-        cur_trim(self);
-        Entry *e = &self->cur[self->cur_pos];
-        CEventObject *ev = (CEventObject *)e->ev;
-        self->cur_pos++;
-        ev->popped = 1;
-        if (ev->cancelled) {
-            self->cancelled_pending--;
-            Py_DECREF(ev);
-            continue;
-        }
-        self->now = e->time;
-        self->events_processed++;
-        int err = fire_event(ev);
-        Py_DECREF(ev);
-        if (err < 0)
-            return NULL;
-        Py_RETURN_TRUE;
-    }
-}
-
-static PyObject *
 calsim_next_event_time(CalSimObject *self, PyObject *Py_UNUSED(ignored))
 {
-    for (;;) {
-        if (queue_refill(self) == 0)
-            return PyFloat_FromDouble(Py_HUGE_VAL);
-        CEventObject *ev = (CEventObject *)self->cur[self->cur_pos].ev;
-        if (ev->cancelled) {
-            self->cur_pos++;
-            ev->popped = 1;
-            self->cancelled_pending--;
-            Py_DECREF(ev);
-            continue;
-        }
-        return PyFloat_FromDouble(self->cur[self->cur_pos].time);
-    }
-}
-
-static PyObject *
-calsim_note_cancel_py(CalSimObject *self, PyObject *Py_UNUSED(ignored))
-{
-    calsim_note_cancel(self);
-    Py_RETURN_NONE;
+    if (queue_refill(self) == 0)
+        return PyFloat_FromDouble(Py_HUGE_VAL);
+    return PyFloat_FromDouble(self->cur[self->cur_pos].time);
 }
 
 /* ------------------------------------------------------------------ */
@@ -791,14 +494,6 @@ calsim_get_pending(CalSimObject *self, void *closure)
         (self->cur_len - self->cur_pos) + self->top_len);
 }
 
-static PyObject *
-calsim_get_pending_active(CalSimObject *self, void *closure)
-{
-    return PyLong_FromLongLong(
-        (long long)((self->cur_len - self->cur_pos) + self->top_len)
-        - self->cancelled_pending);
-}
-
 static PyGetSetDef calsim_getset[] = {
     {"now", (getter)calsim_get_now, NULL,
      "Current simulated time in seconds.", NULL},
@@ -806,27 +501,22 @@ static PyGetSetDef calsim_getset[] = {
     {"events_processed", (getter)calsim_get_events_processed, NULL,
      "Number of events fired since construction.", NULL},
     {"pending", (getter)calsim_get_pending, NULL,
-     "Events still queued (including cancelled ones).", NULL},
-    {"pending_active", (getter)calsim_get_pending_active, NULL,
-     "Live (non-cancelled) events still queued.", NULL},
+     "Number of events still queued.", NULL},
     {NULL}
 };
 
 static PyMethodDef calsim_methods[] = {
     {"schedule", (PyCFunction)calsim_schedule,
      METH_VARARGS | METH_KEYWORDS,
-     "schedule(delay, fn, *args, priority=0) -> Event"},
+     "schedule(delay, fn, *args, priority=0) -> None"},
     {"at", (PyCFunction)calsim_at, METH_VARARGS | METH_KEYWORDS,
-     "at(time, fn, *args, priority=0) -> Event"},
+     "at(time, fn, *args, priority=0) -> None"},
     {"run", (PyCFunction)calsim_run, METH_VARARGS | METH_KEYWORDS,
      "run(until=None, max_events=None)"},
     {"run_before", (PyCFunction)calsim_run_before, METH_O,
      "Fire every event with time < bound, strictly."},
-    {"step", (PyCFunction)calsim_step, METH_NOARGS,
-     "Fire the single next event; False if drained."},
     {"next_event_time", (PyCFunction)calsim_next_event_time, METH_NOARGS,
-     "Time of the next live event, or inf."},
-    {"_note_cancel", (PyCFunction)calsim_note_cancel_py, METH_NOARGS, NULL},
+     "Time of the next event, or inf."},
     {NULL}
 };
 
@@ -866,13 +556,11 @@ PyInit__ceventq(void)
     Py_DECREF(engine);
     if (SimulationError == NULL)
         return NULL;
-    if (PyType_Ready(&CEvent_Type) < 0 || PyType_Ready(&CalSim_Type) < 0)
+    if (PyType_Ready(&CalSim_Type) < 0)
         return NULL;
     PyObject *m = PyModule_Create(&ceventq_module);
     if (m == NULL)
         return NULL;
-    Py_INCREF(&CEvent_Type);
-    PyModule_AddObject(m, "Event", (PyObject *)&CEvent_Type);
     Py_INCREF(&CalSim_Type);
     PyModule_AddObject(m, "CalendarSimCore", (PyObject *)&CalSim_Type);
     return m;

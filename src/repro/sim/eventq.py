@@ -36,8 +36,7 @@ from bisect import insort
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..config import RunConfig, current
-from .engine import _COMPACT_MIN, SimulationError, Simulator
-from .event import Event
+from .engine import SimulationError, Simulator
 
 try:  # the optional compiled core (see setup.py / _ceventq.c)
     from . import _ceventq
@@ -48,6 +47,9 @@ except ImportError:  # pragma: no cover - depends on the build
 #: this, so a rung that never fully drains (self-rescheduling chains
 #: insort ahead of the pointer) cannot grow without bound.
 _TRIM_POS = 4096
+
+#: One queued event: ``(time, priority, seq, fn, args)``.
+_Entry = Tuple[float, int, int, Callable[..., Any], tuple]
 
 
 def compiled_available() -> bool:
@@ -71,8 +73,8 @@ class CalendarSimulator(Simulator):
     Storage replaces the base heap entirely:
 
     ``_cur``
-        The current rung: ``(time, priority, seq, Event)`` tuples in
-        ascending order from index ``_pos`` on.  Entries before
+        The current rung: ``(time, priority, seq, fn, args)`` tuples
+        in ascending order from index ``_pos`` on.  Entries before
         ``_pos`` are consumed and periodically trimmed.
     ``_top``
         The future rung: unsorted entries, each ordering at or after
@@ -83,13 +85,9 @@ class CalendarSimulator(Simulator):
     entry, so draining ``_cur`` then sorting ``_top`` pops the global
     ``(time, priority, seq)`` order — bit-identical to the heap.
 
-    Cancellation accounting mirrors the heap engine but is maintained
-    per-implementation: ``_cancelled_in_heap`` counts cancelled
-    entries still queued in either rung, and :meth:`_compact` filters
-    both rungs *in place* (the run loops hold local aliases to
-    ``_cur`` and re-read its length after every callback, so an
-    in-callback mass-cancel never strands a stale rung list — the
-    calendar analogue of the heap engine's in-place ``_compact``).
+    The run loops hold local aliases to ``_cur`` and re-read its
+    length and ``_pos`` after every callback, because a callback may
+    insort into the current rung.
     """
 
     eventq_name = "calendar"
@@ -97,22 +95,16 @@ class CalendarSimulator(Simulator):
     def __init__(self) -> None:
         super().__init__()
         del self._heap  # misuse of the base storage should fail loudly
-        self._cur: List[Tuple[float, int, int, Event]] = []
+        self._cur: List[_Entry] = []
         self._pos: int = 0
-        self._top: List[Tuple[float, int, int, Event]] = []
+        self._top: List[_Entry] = []
 
     # -- introspection --------------------------------------------------
 
     @property
     def pending(self) -> int:
-        """Number of queued events (including cancelled ones)."""
+        """Number of queued events."""
         return len(self._cur) - self._pos + len(self._top)
-
-    @property
-    def pending_active(self) -> int:
-        """Number of *live* (non-cancelled) queued events."""
-        return len(self._cur) - self._pos + len(self._top) \
-            - self._cancelled_in_heap
 
     # -- scheduling (hot: validation and push inlined, no at() hop) -----
 
@@ -122,14 +114,13 @@ class CalendarSimulator(Simulator):
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
+    ) -> None:
         if not (delay >= 0):  # rejects negatives and NaN
             raise SimulationError(f"negative delay: {delay!r}")
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args, self)
-        entry = (time, priority, seq, ev)
+        entry = (time, priority, seq, fn, args)
         # Within a rung cur[-1] never changes (insort only ever places
         # entries *before* it), so every _top entry orders after it and
         # routing on cur[-1] alone preserves the rung invariant.
@@ -138,7 +129,6 @@ class CalendarSimulator(Simulator):
             insort(cur, entry, lo=self._pos)
         else:
             self._top.append(entry)
-        return ev
 
     def at(
         self,
@@ -146,46 +136,19 @@ class CalendarSimulator(Simulator):
         fn: Callable[..., Any],
         *args: Any,
         priority: int = 0,
-    ) -> Event:
+    ) -> None:
         if not (time >= self._now):  # rejects past times and NaN
             raise SimulationError(
                 f"cannot schedule in the past: t={time!r} < now={self._now!r}"
             )
         seq = self._seq
         self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args, self)
-        entry = (time, priority, seq, ev)
+        entry = (time, priority, seq, fn, args)
         cur = self._cur
         if cur and entry < cur[-1]:
             insort(cur, entry, lo=self._pos)
         else:
             self._top.append(entry)
-        return ev
-
-    # -- cancellation accounting ---------------------------------------
-
-    def _note_cancel(self) -> None:
-        self._cancelled_in_heap += 1
-        if (
-            self._cancelled_in_heap > _COMPACT_MIN
-            and self._cancelled_in_heap * 2
-                > len(self._cur) - self._pos + len(self._top)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from both rungs, in place.
-
-        Only the unread tail of ``_cur`` is filtered: the consumed
-        prefix stays, so the run loops' local read index remains
-        valid, and both list objects keep their identity for any
-        local aliases held across event execution (the calendar
-        analogue of the heap engine's in-place ``_compact`` fix).
-        """
-        cur, pos = self._cur, self._pos
-        cur[pos:] = [e for e in cur[pos:] if not e[3]._cancelled]
-        self._top[:] = [e for e in self._top if not e[3]._cancelled]
-        self._cancelled_in_heap = 0
 
     # -- execution ------------------------------------------------------
 
@@ -206,31 +169,10 @@ class CalendarSimulator(Simulator):
         return len(cur)
 
     def next_event_time(self) -> float:
-        """Time of the next *live* event, or ``inf`` when drained.
-
-        Cancelled entries at the front are consumed, so the answer
-        reflects :attr:`pending_active` — same contract as the heap
-        engine; used by the parallel engine's window negotiation.
-        """
-        cur = self._cur
-        pos = self._pos
-        n = len(cur)
-        while True:
-            if pos >= n:
-                self._pos = pos
-                n = self._refill()
-                pos = 0
-                if n == 0:
-                    return float("inf")
-            entry = cur[pos]
-            ev = entry[3]
-            if ev._cancelled:
-                pos += 1
-                self._pos = pos
-                ev._popped = True
-                self._cancelled_in_heap -= 1
-                continue
-            return entry[0]
+        """Time of the next event, or ``inf`` when drained."""
+        if self._pos >= len(self._cur) and self._refill() == 0:
+            return float("inf")
+        return self._cur[self._pos][0]
 
     def run_before(self, bound: float) -> None:
         """Fire every event with ``time < bound``, *strictly*.
@@ -263,54 +205,22 @@ class CalendarSimulator(Simulator):
                     del cur[:pos]
                     self._pos = pos = 0
                     n = len(cur)
-                entry = cur[pos]
-                ev = entry[3]
-                if ev._cancelled:
-                    pos += 1
-                    ev._popped = True
-                    self._cancelled_in_heap -= 1
-                    continue
-                if entry[0] >= bound:
+                time, _, _, fn, args = cur[pos]
+                if time >= bound:
                     return
                 pos += 1
                 self._pos = pos
-                ev._popped = True
-                self._now = entry[0]
+                self._now = time
                 fired += 1
-                ev.fn(*ev.args)
-                # A callback may have insorted into (or compacted) the
-                # current rung: re-read its bounds, never cache across.
+                fn(*args)
+                # A callback may have insorted into the current rung:
+                # re-read its bounds, never cache across.
                 pos = self._pos
                 n = len(cur)
         finally:
             self._pos = pos
             self._events_processed += fired
             self._running = False
-
-    def step(self) -> bool:
-        """Fire the single next event.  Returns False when drained."""
-        cur = self._cur
-        pos = self._pos
-        n = len(cur)
-        while True:
-            if pos >= n:
-                self._pos = pos
-                n = self._refill()
-                pos = 0
-                if n == 0:
-                    return False
-            entry = cur[pos]
-            pos += 1
-            self._pos = pos
-            ev = entry[3]
-            ev._popped = True
-            if ev._cancelled:
-                self._cancelled_in_heap -= 1
-                continue
-            self._now = entry[0]
-            self._events_processed += 1
-            ev.fn(*ev.args)
-            return True
 
     def run(
         self,
@@ -354,18 +264,12 @@ class CalendarSimulator(Simulator):
                         del cur[:pos]
                         self._pos = pos = 0
                         n = len(cur)
-                    entry = cur[pos]
+                    time, _, _, fn, args = cur[pos]
                     pos += 1
-                    ev = entry[3]
-                    if ev._cancelled:
-                        ev._popped = True
-                        self._cancelled_in_heap -= 1
-                        continue
                     self._pos = pos
-                    ev._popped = True
-                    self._now = entry[0]
+                    self._now = time
                     fired += 1
-                    ev.fn(*ev.args)
+                    fn(*args)
                     pos = self._pos
                     n = len(cur)
             else:
@@ -383,22 +287,15 @@ class CalendarSimulator(Simulator):
                         n = len(cur)
                     if max_events is not None and fired >= max_events:
                         return
-                    entry = cur[pos]
-                    ev = entry[3]
-                    if ev._cancelled:
-                        pos += 1
-                        ev._popped = True
-                        self._cancelled_in_heap -= 1
-                        continue
-                    if until is not None and entry[0] > until:
+                    time, _, _, fn, args = cur[pos]
+                    if until is not None and time > until:
                         self._now = until
                         return
                     pos += 1
                     self._pos = pos
-                    ev._popped = True
-                    self._now = entry[0]
+                    self._now = time
                     fired += 1
-                    ev.fn(*ev.args)
+                    fn(*args)
                     pos = self._pos
                     n = len(cur)
                 if until is not None and until > self._now:
@@ -417,17 +314,9 @@ class CalendarSimulator(Simulator):
 if _ceventq is not None:
 
     class CompiledSimulator(_ceventq.CalendarSimCore):
-        """The native calendar core plus the cold-path Python helpers."""
+        """The native calendar core, named for ``repro profile``."""
 
         eventq_name = "calendar-c"
-
-        def drain(self, max_events: int = 50_000_000) -> None:
-            """Run to completion, guarding against runaway event loops."""
-            self.run(max_events=max_events)
-            if self.pending_active:
-                raise SimulationError(
-                    f"simulation did not converge within {max_events} events"
-                )
 
 else:  # pragma: no cover - depends on the build
 

@@ -505,11 +505,12 @@ def _fork_plan(rt: "Runtime") -> Tuple[int, Optional[Any]]:
     the platform has no ``fork`` start method, or when the calling
     process is itself a daemonic worker (e.g. a sweep-pool process,
     which may not fork children of its own).  Runs that never enable
-    engine mode (fault plans, reliability, BG/P per-link contention)
-    do not reach here.
+    engine mode (BG/P per-link contention) do not reach here, and
+    :class:`~repro.charm.runtime.Runtime` refuses a shard count with
+    fault plans or reliability.
     """
     n = min(rt.shards or 1, rt.fabric.topology.n_nodes)
-    if n > 1 and rt.sim.pending_active:
+    if n > 1 and rt.sim.pending:
         n = 1
     ctx = None
     if n > 1:

@@ -41,7 +41,12 @@ from ..network.params import MACHINES, MachineParams
 #: or the canonical result payload must bump this constant, which
 #: changes every digest and cleanly invalidates all previously cached
 #: results.
-ENGINE_SCHEMA = 1
+#:
+#: History: 2 — scheduling became one-way, so a faulted run's
+#: superseded retransmit timers fire as no-op events instead of being
+#: withdrawn; a chaos point's ``events`` (and its final clock) grew,
+#: while clean runs kept every byte.
+ENGINE_SCHEMA = 2
 
 
 class SweepError(RuntimeError):

@@ -94,13 +94,13 @@ def test_negative_charge_rejected():
         rt.run()
 
 
-def test_entity_after_helper():
+def test_entity_now_follows_the_simulator():
     from repro.sim import Entity, Simulator
 
     sim = Simulator()
     e = Entity(sim, name="thing")
     got = []
-    e.after(2e-6, got.append, "x")
+    sim.schedule(2e-6, got.append, "x")
     sim.run()
     assert got == ["x"]
     assert e.now == pytest.approx(2e-6)

@@ -5,12 +5,15 @@ under a *certain* fault (probability 1.0), so the recovery path taken
 is deterministic and each counter can be pinned exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro import ABE, Runtime
 from repro import ckdirect as ckd
 from repro.faults import FaultPlan, FaultRule, ReliabilityParams
+from repro.projections.eventlog import tracing
 
 from tests.ckdirect.channel_helpers import CROSS, Endpoint
 
@@ -119,6 +122,58 @@ def test_watchdog_fires_exactly_once_per_stalled_put():
     assert np.all(recv.recv_arr == 9.0)
     assert rt.watchdog.fires == 1
     assert t.counter("ckdirect.fallback_puts") == 2
+
+
+def test_watchdog_pull_forward_leaves_the_original_timer_silent():
+    """The watchdog pulls the first timeout forward (attempt 2) and
+    leaves the original 10 s timer behind.  Only the newest attempt's
+    timer may act: the put retransmits once from the watchdog and once
+    when attempt 2's timer expires, then degrades when attempt 3's
+    expires.  Had the superseded 10 s timer acted, the second
+    retransmit would come at 10 s and the handle would degrade 10 s
+    early."""
+    params = dataclasses.replace(WATCHDOG_ONLY, max_attempts=3)
+    with tracing() as log:
+        rt, arr, recv, send, handle = _wired(_plan("put", drop=1.0), params)
+        arr.proxy[1].do_put(handle)
+        rt.run()
+    assert np.array_equal(recv.recv_arr, send.send_arr)
+    assert handle.degraded
+    t = rt.trace
+    assert t.counter("ckdirect.watchdog_fires") == 1
+    assert t.counter("ckdirect.retransmits") == 2
+    assert t.counter("ckdirect.degraded_handles") == 1
+    assert t.counter("ckdirect.fallback_puts") == 1
+
+    def times(kind):
+        return [e.t0 for e in log.events if e.name.startswith(kind + ":")]
+
+    (watchdog,) = times("watchdog")
+    assert times("retransmit") == [watchdog, watchdog + params.rto(2)]
+    assert times("degrade") == [watchdog + params.rto(2) + params.rto(3)]
+
+
+def test_watchdog_leaves_a_degraded_handles_fallback_to_the_charm_path():
+    """A degraded handle's put travels the charm path only.  When that
+    path stalls past the watchdog timeout, the watchdog escalates the
+    put but must not restart RDMA attempts on the handle."""
+    plan = FaultPlan(profile="test", seed=3, rules=(
+        ("put", FaultRule(drop=1.0)),
+        ("charm", FaultRule(stall=1.0, stall_time=1e-3)),
+    ))
+    rt, arr, recv, send, handle = _wired(plan, WATCHDOG_ONLY)
+    arr.proxy[1].do_put(handle)
+    rt.run()
+    assert handle.degraded
+    arr.proxy[0].do_ready(handle)
+    rt.run()
+    send.send_arr[:] = 9.0
+    arr.proxy[1].do_put(handle)
+    rt.run()
+    assert np.all(recv.recv_arr == 9.0)
+    assert rt.watchdog.fires == 2
+    assert handle.attempt == 0
+    assert rt.trace.counter("ckdirect.fallback_puts") == 2
 
 
 def test_retry_gives_up_after_max_attempts_then_falls_back():

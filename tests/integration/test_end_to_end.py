@@ -67,6 +67,6 @@ def test_no_pending_events_after_run():
     r = run_stencil(ABE, 4, (8, 8, 8), vr=2, iterations=2, mode="msg",
                     keep_runtime=True)
     sim = r.runtime.sim
-    # pending_active counts live (non-cancelled) queued events and is
-    # implementation-agnostic — valid for heap, calendar and compiled.
-    assert sim.pending_active == 0
+    # pending is implementation-agnostic — valid for heap, calendar
+    # and compiled.
+    assert sim.pending == 0

@@ -3,9 +3,9 @@
 The load-bearing claim behind ``--eventq`` being a pure wall-clock
 knob: every implementation pops the identical ``(time, priority,
 seq)`` sequence under arbitrary interleavings of ``schedule`` and
-``cancel`` — including operations performed *from inside running
-callbacks*, which is where the calendar queue's mid-rung insort and
-in-place compaction paths live.
+``run_before`` windows — including scheduling performed *from inside
+running callbacks*, which is where the calendar queue's mid-rung
+insort path lives.
 """
 
 from hypothesis import given, settings
@@ -22,73 +22,61 @@ IMPLS = [CalendarSimulator]
 if compiled_available():
     IMPLS.append(CompiledSimulator)
 
-# An op either runs at the top level or inside a driver callback:
-#   ("schedule", delay, priority)
-#   ("cancel", index-into-created-events)
-_op = st.one_of(
-    st.tuples(st.just("schedule"),
-              st.floats(min_value=0.0, max_value=2e-5, allow_nan=False),
-              st.integers(min_value=-2, max_value=2)),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=10_000)),
+# Each op runs inside a driver callback; a "chain" op's event schedules
+# one more event from its own callback.
+#   ("schedule" | "chain", delay, priority)
+_op = st.tuples(
+    st.sampled_from(["schedule", "chain"]),
+    st.floats(min_value=0.0, max_value=2e-5, allow_nan=False),
+    st.integers(min_value=-2, max_value=2),
 )
 
 programs = st.lists(_op, min_size=1, max_size=40)
 
+#: run_before window bounds, applied before the final run().
+window_bounds = st.lists(st.floats(min_value=0.0, max_value=1.5e-4,
+                                   allow_nan=False), max_size=6)
 
-def _execute(sim_factory, prog):
+
+def _execute(sim_factory, prog, bounds):
     """Run a program with ops firing from inside driver callbacks."""
     sim = sim_factory()
     fired = []
-    created = []
+    created = [0]
 
     def leaf(i):
         fired.append((sim.now, "leaf", i))
 
+    def link(i, delay, prio):
+        fired.append((sim.now, "link", i))
+        sim.schedule(delay / 2, leaf, i, priority=-prio)
+
     def do(op):
-        kind = op[0]
+        kind, delay, prio = op
         fired.append((sim.now, kind))
+        i = created[0]
+        created[0] += 1
         if kind == "schedule":
-            _, delay, prio = op
-            created.append(
-                sim.schedule(delay, leaf, len(created), priority=prio))
+            sim.schedule(delay, leaf, i, priority=prio)
         else:
-            _, idx = op
-            if created:
-                created[idx % len(created)].cancel()
+            sim.schedule(delay, link, i, delay, prio, priority=prio)
 
     for i, op in enumerate(prog):
         # driver events interleave with the ops' own events in time
         sim.schedule(i * 3e-6, do, op)
+    for bound in sorted(bounds):
+        sim.run_before(bound)
+        fired.append((sim.now, "window", sim.pending))
     sim.run()
     return fired, sim.events_processed, sim.now, sim.pending
 
 
-@given(programs)
+@given(programs, window_bounds)
 @settings(max_examples=120, deadline=None)
-def test_all_impls_pop_identical_sequences(prog):
-    reference = _execute(Simulator, prog)
+def test_all_impls_pop_identical_sequences(prog, bounds):
+    reference = _execute(Simulator, prog, bounds)
     for impl in IMPLS:
-        assert _execute(impl, prog) == reference, impl.__name__
-
-
-@given(programs, st.integers(min_value=1, max_value=30))
-@settings(max_examples=60, deadline=None)
-def test_step_drain_matches_run(prog, steps):
-    """Mixing step() with run() cannot change the fired sequence."""
-    def stepped(factory):
-        sim = factory()
-        fired = []
-        for i, op in enumerate(prog):
-            sim.schedule(i * 3e-6, fired.append, (op[0], i))
-        for _ in range(steps):
-            if not sim.step():
-                break
-        sim.run()
-        return fired, sim.events_processed
-
-    reference = stepped(Simulator)
-    for impl in IMPLS:
-        assert stepped(impl) == reference, impl.__name__
+        assert _execute(impl, prog, bounds) == reference, impl.__name__
 
 
 @given(programs)

@@ -59,20 +59,3 @@ def test_run_until_is_prefix_of_full_run(specs, cut_idx):
     part_sim.run(until=cut)
     part_sim.run()
     assert part == full
-
-
-@given(st.lists(st.floats(min_value=0, max_value=1e-3), min_size=2, max_size=30),
-       st.data())
-@settings(max_examples=40, deadline=None)
-def test_cancellation_removes_exactly_that_event(delays_list, data):
-    sim = Simulator()
-    fired = []
-    events = [
-        sim.schedule(d, lambda i=i: fired.append(i))
-        for i, d in enumerate(delays_list)
-    ]
-    victim = data.draw(st.integers(min_value=0, max_value=len(events) - 1))
-    events[victim].cancel()
-    sim.run()
-    assert victim not in fired
-    assert sorted(fired + [victim]) == list(range(len(delays_list)))

@@ -1,48 +1,40 @@
-"""Unit tests for Event ordering and lifecycle."""
+"""The event key and callback contract, observed through the queue.
 
-from repro.sim.event import Event
+An event is a ``(time, priority, seq, fn, args)`` queue entry: it fires
+in key order and calls ``fn(*args)``.
+"""
+
+from repro.sim import Simulator
 
 
-def _ev(time, priority=0, seq=0):
-    return Event(time, priority, seq, lambda: None, ())
+def _fire_order(*entries):
+    """Queue ``(time, priority, tag)`` entries in the given order and
+    return the tags in firing order."""
+    sim = Simulator()
+    fired = []
+    for time, priority, tag in entries:
+        sim.at(time, fired.append, tag, priority=priority)
+    sim.run()
+    return fired
 
 
 def test_ordering_by_time():
-    assert _ev(1.0) < _ev(2.0)
-    assert not (_ev(2.0) < _ev(1.0))
+    assert _fire_order((2.0, 0, "late"), (1.0, 0, "early")) == ["early", "late"]
 
 
 def test_ordering_by_priority_within_time():
-    assert _ev(1.0, priority=-1, seq=5) < _ev(1.0, priority=0, seq=1)
+    # priority outranks the order of scheduling (seq)
+    assert _fire_order((1.0, 0, "queued-first"), (1.0, -1, "urgent")) == [
+        "urgent", "queued-first"]
 
 
 def test_ordering_by_seq_within_time_and_priority():
-    assert _ev(1.0, seq=1) < _ev(1.0, seq=2)
-
-
-def test_cancel_is_idempotent():
-    ev = _ev(1.0)
-    assert not ev.cancelled
-    ev.cancel()
-    ev.cancel()
-    assert ev.cancelled
+    assert _fire_order((1.0, 0, "a"), (1.0, 0, "b")) == ["a", "b"]
 
 
 def test_fire_invokes_with_args():
+    sim = Simulator()
     got = []
-    ev = Event(0.0, 0, 0, lambda *a: got.append(a), (1, 2))
-    ev.fire()
+    sim.at(0.0, lambda *a: got.append(a), 1, 2)
+    sim.run()
     assert got == [(1, 2)]
-
-
-def test_cancelled_event_does_not_fire():
-    got = []
-    ev = Event(0.0, 0, 0, got.append, ("x",))
-    ev.cancel()
-    ev.fire()
-    assert got == []
-
-
-def test_sort_key_tuple():
-    ev = _ev(2.5, priority=1, seq=7)
-    assert ev.sort_key() == (2.5, 1, 7)

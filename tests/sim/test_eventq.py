@@ -2,16 +2,11 @@
 
 Every implementation — heap reference, pure-Python calendar, and the
 compiled core when built — must honor the complete
-:class:`~repro.sim.engine.Simulator` contract: pop order, rejection
-semantics (``at``/``schedule`` take ``priority`` as their only
-keyword), ``run``/``run_before``/``step``/``next_event_time``
-behavior, cancellation accounting, and settable ``_now`` (the
-parallel engine's final-merge path writes it).
-
-The mass-cancel regression here mirrors the heap engine's ``_compact``
-fix: compaction triggered *from inside a running callback* must mutate
-the rung storage in place, because the run loop holds local aliases
-across callback execution.
+:class:`~repro.sim.engine.Simulator` contract: pop order, one-way
+scheduling (``at``/``schedule`` return nothing and take ``priority``
+as their only keyword), rejection semantics,
+``run``/``run_before``/``next_event_time`` behavior, and settable
+``_now`` (the parallel engine's final-merge path writes it).
 """
 
 import math
@@ -73,32 +68,40 @@ def test_at_rejects_past_and_nan(sim):
         sim.at(math.nan, lambda: None)
 
 
+def test_scheduling_is_one_way(sim):
+    assert sim.schedule(1e-6, lambda: None) is None
+    assert sim.at(2e-6, lambda: None) is None
+    assert sim.pending == 2
+
+
 @pytest.mark.parametrize("call", ["at", "schedule"])
 def test_keywords_other_than_priority_raise_and_admit_nothing(sim, call):
     """``priority`` is the only keyword ``at``/``schedule`` accept; any
-    other is a TypeError that queues nothing and consumes no seq."""
+    other is a TypeError that queues nothing."""
     fired = []
-    before = sim.at(1e-6, fired.append, "pre")
+    sim.at(1e-6, fired.append, "pre")
     pending = sim.pending
     with pytest.raises(TypeError):
         getattr(sim, call)(2e-6, fired.append, "x", tag=1)
     with pytest.raises(TypeError):
         getattr(sim, call)(2e-6, fired.append, "x", priority=-1, tag=1)
     assert sim.pending == pending
-    after = sim.at(2e-6, fired.append, "post")
-    assert after.seq == before.seq + 1
+    sim.at(2e-6, fired.append, "post")
     sim.run()
     assert fired == ["pre", "post"]
 
 
 def test_rejected_time_admits_nothing(sim):
-    before = sim.at(1e-6, lambda: None)
+    fired = []
+    sim.at(1e-6, fired.append, "pre")
     with pytest.raises(SimulationError):
-        sim.at(math.nan, lambda: None)
+        sim.at(math.nan, fired.append, "nan")
     with pytest.raises(SimulationError):
-        sim.schedule(-1e-9, lambda: None)
+        sim.schedule(-1e-9, fired.append, "negative")
     assert sim.pending == 1
-    assert sim.at(2e-6, lambda: None).seq == before.seq + 1
+    sim.at(1e-6, fired.append, "tie")
+    sim.run()
+    assert fired == ["pre", "tie"]
 
 
 def test_batch_tiebreak_is_submission_order(sim):
@@ -144,37 +147,15 @@ def test_run_before_is_strict(sim):
     assert fired == ["a", "b"]
 
 
-def test_next_event_time_skips_cancelled(sim):
-    ev = sim.schedule(1e-6, lambda: None)
+def test_next_event_time_is_the_earliest_queued(sim):
+    assert sim.next_event_time() == float("inf")
     sim.schedule(2e-6, lambda: None)
-    ev.cancel()
+    sim.schedule(1e-6, lambda: None)
+    assert sim.next_event_time() == 1e-6
+    sim.run_before(1.5e-6)
     assert sim.next_event_time() == 2e-6
-    sim2 = type(sim)()
-    assert sim2.next_event_time() == float("inf")
-
-
-def test_step_fires_exactly_one(sim):
-    fired = []
-    sim.schedule(1e-6, fired.append, "a")
-    sim.schedule(2e-6, fired.append, "b")
-    assert sim.step() is True
-    assert fired == ["a"]
-    assert sim.step() is True
-    assert sim.step() is False
-    assert fired == ["a", "b"]
-
-
-def test_cancel_accounting(sim):
-    evs = [sim.schedule(1e-6 * (i + 1), lambda: None) for i in range(4)]
-    assert sim.pending == 4 and sim.pending_active == 4
-    evs[1].cancel()
-    evs[1].cancel()  # idempotent
-    assert sim.pending == 4 and sim.pending_active == 3
     sim.run()
-    assert sim.pending == 0 and sim.pending_active == 0
-    assert sim.events_processed == 3
-    evs[0].cancel()  # cancelling after the fire is a no-op
-    assert sim.pending_active == 0
+    assert sim.next_event_time() == float("inf")
 
 
 def test_now_is_settable(sim):
@@ -200,57 +181,6 @@ def test_schedule_during_callback_same_time_lower_priority(sim):
     sim.schedule(1e-6, fired.append, "second", priority=1)
     sim.run()
     assert fired == ["first", "inserted", "second"]
-
-
-# ---------------------------------------------------------------------------
-# Mass-cancel during run(): the PR-3 _compact regression, per impl
-# ---------------------------------------------------------------------------
-
-
-def test_in_callback_mass_cancel_does_not_strand_storage(sim):
-    """A callback cancelling most of the pending set triggers lazy
-    compaction mid-run.  Compaction must mutate the live storage in
-    place: every surviving event still fires, in order, and the
-    accounting drains to zero."""
-    fired = []
-    doomed = []
-    survivors = []
-    for i in range(600):
-        ev = sim.schedule(1e-6 + i * 1e-9, fired.append, i)
-        (survivors if i % 10 == 0 else doomed).append((i, ev))
-
-    def massacre():
-        for _i, ev in doomed:
-            ev.cancel()
-
-    sim.schedule(5e-7, lambda: massacre())
-    sim.run()
-    assert fired == [i for i, _ev in survivors]
-    assert sim.pending == 0 and sim.pending_active == 0
-    assert sim.events_processed == len(survivors) + 1  # + the massacre
-
-
-def test_mass_cancel_interleaved_with_future_rung(sim):
-    """Cancel storms spanning both rungs (near events being drained,
-    far events still unsorted) must not lose or duplicate fires."""
-    fired = []
-    near = [sim.schedule(1e-6 + i * 1e-9, fired.append, ("near", i))
-            for i in range(200)]
-    far = [sim.schedule(1e-3 + i * 1e-9, fired.append, ("far", i))
-           for i in range(200)]
-
-    def storm():
-        for ev in near[1::2]:
-            ev.cancel()
-        for ev in far[::2]:
-            ev.cancel()
-
-    sim.schedule(5e-7, storm)
-    sim.run()
-    expected = ([("near", i) for i in range(0, 200, 2)]
-                + [("far", i) for i in range(1, 200, 2)])
-    assert fired == expected
-    assert sim.pending == 0 and sim.pending_active == 0
 
 
 def test_long_rung_trims_consumed_prefix():

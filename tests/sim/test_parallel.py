@@ -1,8 +1,8 @@
 """Tests for the sharded conservative-lookahead parallel engine.
 
 The contract under test is the one the module docstring states: a run
-at ``--shards N`` is bit-identical to ``--shards 1``, and runs that
-cannot shard fall back to a serial engine rather than diverging.  The
+at ``--shards N`` is bit-identical to ``--shards 1``, and faulted runs,
+which cannot shard, are refused rather than run serially.  The
 legacy no-shards path produces the same *content* (timings,
 application state) only where no later send reaches a receiver first:
 it reserves receiver NICs in send order, the engine in head-arrival
@@ -269,22 +269,32 @@ def test_proxy_put_lands_on_the_real_handle_of_its_own_shard(shards):
 # ---------------------------------------------------------------------------
 
 
-def test_fault_runs_fall_back_and_stay_identical():
+def test_faulted_sharded_runs_are_refused(monkeypatch, capsys):
+    """A faulted run is serial: an explicit shard count with fault
+    injection or the reliability layer is refused, not ignored."""
     from repro.apps.stencil.driver import run_stencil
+    from repro.charm.runtime import CharmError
+    from repro.cli import main
+    from repro.faults import FaultPlan, ReliabilityParams
 
-    def run(shards):
-        return run_stencil(ABE, 16, domain=(16, 16, 16), vr=2, iterations=3,
-                           mode="ckd", validate=True, keep_runtime=True,
-                           faults="drop", shards=shards)
-
-    one = run(1)
-    four = run(4)
-    # the engine is never armed under fault injection …
-    assert not one.runtime.fabric._engine
-    assert not four.runtime.fabric._engine
-    # … so any shard count produces the legacy faulted run exactly
-    assert four.iter_times == one.iter_times
-    assert four.events == one.events
+    with pytest.raises(CharmError, match="shards=2"):
+        Runtime(ABE, 16, fault_plan=FaultPlan.named("drop"), shards=2)
+    with pytest.raises(CharmError, match="shards=1"):
+        Runtime(ABE, 16, reliability=ReliabilityParams(), shards=1)
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    with pytest.raises(CharmError, match="shards=2"):
+        run_stencil(ABE, 16, domain=(8, 8, 8), iterations=1, mode="ckd",
+                    faults="drop")
+    # The CLI refuses the chaos fabric matrix before running a point.
+    assert main(["chaos", "--faults", "drop"]) == 2
+    monkeypatch.delenv("REPRO_SHARDS")
+    assert main(["chaos", "--faults", "drop", "--shards", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 2
+    assert all(line.startswith("error: the chaos fabric matrix runs serially")
+               for line in lines)
 
 
 def test_legacy_path_untouched_without_shards():
