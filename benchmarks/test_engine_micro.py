@@ -28,8 +28,9 @@ best-of) tracks scheduler tail luck, which made the old guard flaky
 on loaded CI machines.  The assertions are the issue's acceptance
 bars: ≥15% below legacy for the heap (re-baselined against the median
 methodology), ≥1.3× heap for the pure-Python calendar, ≥2.5× heap for
-the compiled core.  Measured on the CI container these land at
-~40-45%, ~1.4×, and ~5.5-6× respectively.
+the compiled core.  The last recorded run
+(``benchmarks/results/engine_micro.txt``) landed at 50.1%, 1.96× and
+5.61× respectively.
 """
 
 from __future__ import annotations

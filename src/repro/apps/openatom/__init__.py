@@ -6,7 +6,6 @@ from .driver import (
     OpenAtomMonitor,
     OpenAtomResult,
     abe_2cpn,
-    openatom_pair,
     run_openatom,
 )
 from .gspace import GSpaceBase
@@ -18,7 +17,6 @@ __all__ = [
     "OpenAtomResult",
     "OpenAtomMonitor",
     "run_openatom",
-    "openatom_pair",
     "abe_2cpn",
     "GSpaceBase",
     "GSpaceMsg",

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -175,15 +175,3 @@ def abe_2cpn(machine: MachineParams) -> MachineParams:
     if machine.kind != "ib":
         return machine
     return dataclasses.replace(machine, cores_per_node=2)
-
-
-def openatom_pair(
-    machine: MachineParams,
-    n_pes: int,
-    cfg: Optional[OpenAtomConfig] = None,
-    **cfg_overrides,
-) -> Tuple[OpenAtomResult, OpenAtomResult]:
-    """MSG and CKD runs at identical configuration."""
-    msg = run_openatom(machine, n_pes, cfg, mode="msg", **cfg_overrides)
-    ckdr = run_openatom(machine, n_pes, cfg, mode="ckd", **cfg_overrides)
-    return msg, ckdr

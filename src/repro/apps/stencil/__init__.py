@@ -20,7 +20,7 @@ from .driver import (
 )
 from .jacobi_ckd import JacobiCkd
 from .jacobi_msg import JacobiMsg
-from .reference import block_update, initial_grid, jacobi_reference, jacobi_step
+from .reference import block_update, jacobi_reference, jacobi_step
 
 __all__ = [
     "run_stencil",
@@ -41,7 +41,6 @@ __all__ = [
     "jacobi_reference",
     "jacobi_step",
     "block_update",
-    "initial_grid",
     "STENCIL_OOB",
     "MODES",
     "PAPER_DOMAIN",

@@ -39,12 +39,6 @@ def jacobi_reference(grid: np.ndarray, iterations: int) -> np.ndarray:
     return g
 
 
-def initial_grid(domain, seed: int = 1234) -> np.ndarray:
-    """Deterministic initial condition shared by tests and examples."""
-    rng = np.random.default_rng(seed)
-    return rng.random(domain)
-
-
 def block_update(block_with_ghosts: np.ndarray) -> np.ndarray:
     """One Jacobi sweep of a block given filled ghost layers.
 

@@ -15,7 +15,6 @@ the paper's printed numbers and textual claims.
 
 from . import paper_data, shapes
 from .chaos import run_chaos
-from .export import export_series_csv, export_table_csv
 from .harness import (
     full_scale,
     run_backward_path_ablation,
@@ -54,8 +53,6 @@ __all__ = [
     "run_vr_ablation",
     "run_backward_path_ablation",
     "full_scale",
-    "export_table_csv",
-    "export_series_csv",
     "paper_data",
     "shapes",
     "ShapeError",

@@ -53,5 +53,6 @@ class PutRaceError(CkDirectError):
     """A put landed in a buffer whose sentinel was consumed but not yet
     re-marked (``ready_mark``): the receiver still owns the buffer and
     the application-level synchronization the paper relies on (§4.1)
-    has been violated.  Raised by the debug-mode use-before-ready
-    check (see :data:`repro.ckdirect.api.RACE_CHECK`)."""
+    has been violated.  Raised by the use-before-ready check when the
+    put lands (:meth:`repro.ckdirect.handle.CkDirectHandle._check_landing`,
+    always on)."""

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from ..config import ConfigError, current
 from ..network import Fabric, MachineParams, make_fabric
 from ..projections.events import CAT_MSG, HOST_TRACK
-from ..projections.eventlog import EventLog, current_tracer
+from ..projections.eventlog import current_tracer
 from ..sim import Simulator, Trace, make_simulator
 from .array import ChareArray
 from .callback import CkCallback
@@ -120,8 +120,6 @@ class Runtime:
         self,
         machine: MachineParams,
         n_pes: int,
-        record_samples: bool = False,
-        tracer: Optional[EventLog] = None,
         fault_plan: Optional["FaultPlan"] = None,
         reliability: Optional["ReliabilityParams"] = None,
         shards: Optional[int] = None,
@@ -149,15 +147,12 @@ class Runtime:
         self.machine = machine
         # Every queue implementation pops the same (time, priority,
         # seq) order, so results are bit-identical whichever backs it.
-        self.sim = sim = make_simulator(cfg.eventq)
-        # The clock closes over the simulator, not the runtime, so the
-        # trace and the runtime form no cycle.
-        self.trace = Trace(record_samples=record_samples,
-                           now_fn=lambda: sim.now)
+        self.sim = make_simulator(cfg.eventq)
+        self.trace = Trace()
         #: timeline tracer (None = tracing off, the near-zero-cost
-        #: default); falls back to the ambient tracer installed by the
-        #: CLI's --trace-out / profile paths.
-        self.tracer = tracer if tracer is not None else current_tracer()
+        #: default): the ambient one that ``--trace-out``, ``tracing()``
+        #: and sweep workers install.
+        self.tracer = current_tracer()
         self._trace_run = (
             self.tracer.new_run(f"charm:{machine.name}", owner=self, n_pes=n_pes)
             if self.tracer is not None else 0
@@ -510,12 +505,12 @@ class Runtime:
         count; in a sharded run remote shards report their tallies)."""
         return self.sim.events_processed + self._extra_events
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run the simulation; returns the final simulated time.
+    def run(self) -> float:
+        """Run the simulation until no event remains; returns the final
+        simulated time.
 
-        With ``shards`` set a full run is dispatched to the sharded
-        parallel engine; bounded runs (``until``/``max_events``) stay
-        in-process.
+        With ``shards`` set the run is dispatched to the sharded
+        parallel engine.
 
         The cyclic collector is off for the run: the event loop makes
         no cyclic garbage, and each full collection would walk every
@@ -524,12 +519,12 @@ class Runtime:
         raises.
         """
         with _collector_off():
-            if self.fabric._engine and until is None and max_events is None:
+            if self.fabric._engine:
                 from ..sim.parallel import run_sharded
                 return run_sharded(self)
             if self._pending_host_sends or self._defer_host_sends:
                 self._flush_host_sends()
-            self.sim.run(until=until, max_events=max_events)
+            self.sim.run()
             return self.sim.now
 
     def close(self) -> None:

@@ -27,7 +27,6 @@ from .api import (
     register_handle,
 )
 from .handle import (
-    RACE_CHECK,
     ChannelState,
     ChannelStateError,
     CkDirectError,
@@ -58,5 +57,4 @@ __all__ = [
     "SentinelError",
     "PutMismatchError",
     "PutRaceError",
-    "RACE_CHECK",
 ]

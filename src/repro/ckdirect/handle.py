@@ -53,13 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..charm.pe import PE
     from ..charm.runtime import Runtime
 
-#: Debug-mode use-before-ready check (on by default): a put landing in
-#: a buffer whose sentinel was consumed but not re-marked raises
-#: :class:`~repro.charm.errors.PutRaceError` instead of silently
-#: overwriting data the receiver still owns.  Flip off to model the
-#: real hardware, which performs the errant write without complaint.
-RACE_CHECK = True
-
 
 class ChannelState(enum.Enum):
     """Lifecycle states of a CkDirect channel (see module diagram)."""
@@ -189,10 +182,11 @@ class CkDirectHandle:
         The state machine catches misuse at *issue* time, but real RDMA
         lands whatever was posted: a write arriving after the receiver
         consumed the buffer and before ``ready_mark`` silently destroys
-        data the receiver still owns.  With :data:`RACE_CHECK` on
-        (default) that landing raises instead.
+        data the receiver still owns.  Here that landing raises
+        :class:`~repro.charm.errors.PutRaceError` instead; the check is
+        always on.
         """
-        if RACE_CHECK and not self.sentinel_armed:
+        if not self.sentinel_armed:
             raise PutRaceError(
                 f"{self.name}: a put landed while the receiver owns the "
                 "buffer (sentinel consumed, ready_mark not yet called) — "

@@ -3,18 +3,6 @@ evaluation (two-sided point-to-point with tag matching and
 eager/rendezvous protocols; one-sided windows with fence, PSCW, and
 lock-unlock synchronization)."""
 
-from .datatypes import (
-    MPI_BYTE,
-    MPI_CHAR,
-    MPI_DOUBLE,
-    MPI_DOUBLE_COMPLEX,
-    MPI_FLOAT,
-    MPI_INT,
-    MPI_LONG,
-    Datatype,
-    count_bytes,
-    from_numpy,
-)
 from .flavors import MPIError, regime_for, resolve_flavor, uses_rendezvous
 from .p2p import ANY_SOURCE, ANY_TAG, Arrival, Matcher, RecvPost
 from .rma import RMAError, Win
@@ -35,14 +23,4 @@ __all__ = [
     "resolve_flavor",
     "regime_for",
     "uses_rendezvous",
-    "Datatype",
-    "from_numpy",
-    "count_bytes",
-    "MPI_BYTE",
-    "MPI_CHAR",
-    "MPI_INT",
-    "MPI_FLOAT",
-    "MPI_LONG",
-    "MPI_DOUBLE",
-    "MPI_DOUBLE_COMPLEX",
 ]

@@ -31,7 +31,7 @@ from ..network import BGPFabric, MachineParams, make_fabric
 from ..network.params import IBM_MPI_BUFFERING_TABLE, interp_table
 from ..projections.events import CAT_MPI, CAT_MSG
 from ..projections.eventlog import current_tracer
-from ..sim import Entity, Simulator, Trace, make_simulator
+from ..sim import Entity, Trace, make_simulator
 from .flavors import MPIError, regime_for, resolve_flavor, uses_rendezvous
 from .p2p import ANY_SOURCE, ANY_TAG, Arrival, Matcher, RecvPost
 
@@ -105,36 +105,26 @@ class Rank(Entity):
 
 
 class MPIWorld:
-    """A set of MPI ranks over one simulated machine."""
+    """A set of MPI ranks over one simulated machine, one rank per
+    node (the paper's pingpong configuration)."""
 
     def __init__(
         self,
         machine: MachineParams,
         n_ranks: int,
         flavor: Optional[str] = None,
-        placement: str = "spread",
-        sim: Optional[Simulator] = None,
-        record_samples: bool = False,
     ) -> None:
         if n_ranks <= 0:
             raise MPIError(f"n_ranks must be positive, got {n_ranks}")
         self.machine = machine
         self.params = resolve_flavor(machine, flavor)
-        self.sim = sim if sim is not None else make_simulator()
-        self.trace = Trace(record_samples=record_samples,
-                           now_fn=lambda: self.sim.now)
+        self.sim = make_simulator()
+        self.trace = Trace()
         #: timeline tracer (ambient pickup, as in the charm Runtime).
         self.tracer = current_tracer()
         self._trace_run = 0
-        if placement == "spread":
-            # one rank per node — the paper's pingpong configuration
-            n_pes = n_ranks * machine.cores_per_node
-            pes = [r * machine.cores_per_node for r in range(n_ranks)]
-        elif placement == "packed":
-            n_pes = n_ranks
-            pes = list(range(n_ranks))
-        else:
-            raise MPIError(f"unknown placement {placement!r}")
+        cpn = machine.cores_per_node
+        n_pes = n_ranks * cpn
         self.fabric = make_fabric(self.sim, machine, n_pes, self.trace)
         if self.tracer is not None:
             self._trace_run = self.tracer.new_run(
@@ -142,16 +132,17 @@ class MPIWorld:
             )
             self.fabric.tracer = self.tracer
             self.fabric.trace_run = self._trace_run
-        self.ranks: List[Rank] = [Rank(self, r, pes[r]) for r in range(n_ranks)]
+        self.ranks: List[Rank] = [Rank(self, r, r * cpn) for r in range(n_ranks)]
 
     @property
     def n_ranks(self) -> int:
         """Number of MPI ranks in the world."""
         return len(self.ranks)
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Run the simulation; returns the final simulated time."""
-        self.sim.run(until=until)
+    def run(self) -> float:
+        """Run the simulation until no event remains; returns the final
+        simulated time."""
+        self.sim.run()
         return self.sim.now
 
     # ------------------------------------------------------------------

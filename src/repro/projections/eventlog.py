@@ -20,15 +20,14 @@ indistinguishable from the pre-instrumentation build (asserted by
 
 Installation
 ------------
-Components discover the tracer two ways:
-
-* explicitly — ``Runtime(machine, n, tracer=log)``;
-* ambiently — :func:`install_tracer` sets a module-global that every
-  ``Runtime`` / ``MPIWorld`` constructed afterwards picks up.  This is
-  how ``--trace-out`` traces multi-run artifacts (tables, sweeps)
-  without threading a parameter through every bench runner; each
-  constructed runtime registers its own *run* (one Chrome-trace
-  process) via :meth:`EventLog.new_run`.
+Components discover the tracer one way: ambiently.
+:func:`install_tracer` (or the :func:`tracing` block around it) sets a
+module-global that every ``Runtime`` / ``MPIWorld`` constructed
+afterwards picks up.  This is how ``--trace-out`` traces multi-run
+artifacts (tables, sweeps) without threading a parameter through every
+bench runner, and how a sweep worker records into its own log; each
+constructed runtime registers its own *run* (one Chrome-trace process)
+via :meth:`EventLog.new_run`.
 
 Causality context
 -----------------

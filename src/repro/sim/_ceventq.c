@@ -360,76 +360,17 @@ fire_next(CalSimObject *self)
     return 0;
 }
 
+/* The one event loop: fire events in (time, priority, seq) order
+ * until the queue drains or, when `bounded`, the next event is at or
+ * after `bound`.  run() is the unbounded case, run_before(bound) one
+ * conservative window; neither moves the clock past the last event
+ * fired. */
 static PyObject *
-calsim_run(CalSimObject *self, PyObject *args, PyObject *kwds)
+run_loop(CalSimObject *self, int bounded, double bound, const char *name)
 {
-    static char *kwlist[] = {"until", "max_events", NULL};
-    PyObject *until_obj = Py_None, *max_obj = Py_None;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "|OO", kwlist,
-                                     &until_obj, &max_obj))
-        return NULL;
-    int has_until = until_obj != Py_None;
-    int has_max = max_obj != Py_None;
-    double until = 0.0;
-    long long max_events = 0;
-    if (has_until) {
-        until = PyFloat_AsDouble(until_obj);
-        if (until == -1.0 && PyErr_Occurred())
-            return NULL;
-    }
-    if (has_max) {
-        max_events = PyLong_AsLongLong(max_obj);
-        if (max_events == -1 && PyErr_Occurred())
-            return NULL;
-    }
     if (self->running) {
-        PyErr_SetString(SimulationError, "Simulator.run() is not reentrant");
-        return NULL;
-    }
-    self->running = 1;
-    long long fired = 0;
-    int err = 0;
-    int drained = 0;
-    for (;;) {
-        if (has_max && fired >= max_events)
-            break;
-        if (queue_refill(self) == 0) {
-            drained = 1;
-            break;
-        }
-        cur_trim(self);
-        if (has_until && self->cur[self->cur_pos].time > until) {
-            self->now = until;
-            self->events_processed += fired;
-            self->running = 0;
-            Py_RETURN_NONE;
-        }
-        fired++;
-        err = fire_next(self);
-        if (err < 0)
-            break;
-    }
-    /* Python advances the clock to `until` only when the queue
-     * drained (a max_events stop leaves the clock at the last
-     * event). */
-    if (err == 0 && drained && has_until && until > self->now)
-        self->now = until;
-    self->events_processed += fired;
-    self->running = 0;
-    if (err < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-calsim_run_before(CalSimObject *self, PyObject *arg)
-{
-    double bound = PyFloat_AsDouble(arg);
-    if (bound == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (self->running) {
-        PyErr_SetString(SimulationError,
-                        "Simulator.run_before() is not reentrant");
+        PyErr_Format(SimulationError, "Simulator.%s() is not reentrant",
+                     name);
         return NULL;
     }
     self->running = 1;
@@ -439,7 +380,7 @@ calsim_run_before(CalSimObject *self, PyObject *arg)
         if (queue_refill(self) == 0)
             break;
         cur_trim(self);
-        if (self->cur[self->cur_pos].time >= bound)
+        if (bounded && self->cur[self->cur_pos].time >= bound)
             break;
         fired++;
         err = fire_next(self);
@@ -451,6 +392,21 @@ calsim_run_before(CalSimObject *self, PyObject *arg)
     if (err < 0)
         return NULL;
     Py_RETURN_NONE;
+}
+
+static PyObject *
+calsim_run(CalSimObject *self, PyObject *Py_UNUSED(ignored))
+{
+    return run_loop(self, 0, 0.0, "run");
+}
+
+static PyObject *
+calsim_run_before(CalSimObject *self, PyObject *arg)
+{
+    double bound = PyFloat_AsDouble(arg);
+    if (bound == -1.0 && PyErr_Occurred())
+        return NULL;
+    return run_loop(self, 1, bound, "run_before");
 }
 
 static PyObject *
@@ -511,8 +467,8 @@ static PyMethodDef calsim_methods[] = {
      "schedule(delay, fn, *args, priority=0) -> None"},
     {"at", (PyCFunction)calsim_at, METH_VARARGS | METH_KEYWORDS,
      "at(time, fn, *args, priority=0) -> None"},
-    {"run", (PyCFunction)calsim_run, METH_VARARGS | METH_KEYWORDS,
-     "run(until=None, max_events=None)"},
+    {"run", (PyCFunction)calsim_run, METH_NOARGS,
+     "Run until the queue drains."},
     {"run_before", (PyCFunction)calsim_run_before, METH_O,
      "Fire every event with time < bound, strictly."},
     {"next_event_time", (PyCFunction)calsim_next_event_time, METH_NOARGS,

@@ -33,8 +33,8 @@ per event is first-order for wall-clock time (see
 * heap entries are plain ``(time, priority, seq, fn, args)`` tuples —
   no per-event object, and sift comparisons are C tuple comparisons
   (``seq`` is unique, so the callback is never compared);
-* :meth:`run` binds the heap and ``heappop`` to locals and has a
-  dedicated no-``until``/no-``max_events`` loop (the common case);
+* :meth:`run` and :meth:`run_before` bind the heap and ``heappop``
+  to locals;
 * callbacks take positional arguments only, so every loop fires
   ``fn(*args)`` with no keyword unpacking.
 
@@ -51,7 +51,7 @@ pop order bit-for-bit.  Construct through
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -157,11 +157,11 @@ class Simulator:
     def run_before(self, bound: float) -> None:
         """Fire every event with ``time < bound``, *strictly*.
 
-        Unlike ``run(until=...)`` this neither fires events at exactly
-        ``bound`` nor advances the clock to ``bound`` when the heap
-        drains early: the parallel engine runs a shard window-by-window
-        and a later window may admit events between ``now`` and the
-        previous bound.
+        This is one conservative window: it neither fires events at
+        exactly ``bound`` nor advances the clock to ``bound`` when the
+        heap drains early, because the parallel engine runs a shard
+        window by window and a later window may admit events between
+        ``now`` and the previous bound.
         """
         if self._running:
             raise SimulationError("Simulator.run_before() is not reentrant")
@@ -179,16 +179,12 @@ class Simulator:
             self._events_processed += fired
             self._running = False
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run until the heap drains, ``until`` is reached, or ``max_events``.
+    def run(self) -> None:
+        """Run until the heap drains.
 
-        ``until`` is an absolute simulated time; events scheduled at
-        exactly ``until`` still fire.  When the heap drains before
-        ``until``, the clock is advanced to ``until``.
+        A message-driven program ends by falling silent, so a run takes
+        no other bound; :meth:`run_before` runs one window of a sharded
+        run.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -197,26 +193,11 @@ class Simulator:
         heap = self._heap
         pop = heapq.heappop
         try:
-            if until is None and max_events is None:
-                # Fast path: the common run-to-completion case.
-                while heap:
-                    time, _, _, fn, args = pop(heap)
-                    self._now = time
-                    fired += 1
-                    fn(*args)
-                return
             while heap:
-                if max_events is not None and fired >= max_events:
-                    return
-                if until is not None and heap[0][0] > until:
-                    self._now = until
-                    return
                 time, _, _, fn, args = pop(heap)
                 self._now = time
                 fired += 1
                 fn(*args)
-            if until is not None and until > self._now:
-                self._now = until
         finally:
             self._events_processed += fired
             self._running = False

@@ -222,16 +222,13 @@ class CalendarSimulator(Simulator):
             self._events_processed += fired
             self._running = False
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Run until drained, ``until`` is reached, or ``max_events``.
+    def run(self) -> None:
+        """Run until drained; the heap engine's contract.
 
-        Contract identical to the heap engine (events at exactly
-        ``until`` fire; the clock advances to ``until`` when the queue
-        drains early).
+        The refill is inlined (it runs every couple of events in
+        chain-shaped workloads); rebinding ``_cur``/``_top`` and the
+        local aliases in the same step keeps every pointer a callback
+        can observe consistent.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -239,67 +236,33 @@ class CalendarSimulator(Simulator):
         fired = 0
         cur = self._cur
         pos = self._pos
+        n = len(cur)
         trim = _TRIM_POS
+        top = self._top
         try:
-            if until is None and max_events is None:
-                # Fast path: the common run-to-completion case.  The
-                # refill is inlined (it runs every couple of events in
-                # chain-shaped workloads); rebinding _cur/_top and the
-                # local aliases in the same step keeps every pointer a
-                # callback can observe consistent.
-                n = len(cur)
-                top = self._top
-                while True:
-                    if pos >= n:
-                        if not top:
-                            del cur[:]
-                            self._pos = pos = 0
-                            return
-                        top.sort()
-                        cur = self._cur = top
-                        top = self._top = []
+            while True:
+                if pos >= n:
+                    if not top:
+                        del cur[:]
                         self._pos = pos = 0
-                        n = len(cur)
-                    elif pos >= trim:
-                        del cur[:pos]
-                        self._pos = pos = 0
-                        n = len(cur)
-                    time, _, _, fn, args = cur[pos]
-                    pos += 1
-                    self._pos = pos
-                    self._now = time
-                    fired += 1
-                    fn(*args)
-                    pos = self._pos
-                    n = len(cur)
-            else:
-                n = len(cur)
-                while True:
-                    if pos >= n:
-                        self._pos = pos
-                        n = self._refill()
-                        pos = 0
-                        if n == 0:
-                            break
-                    elif pos >= trim:
-                        del cur[:pos]
-                        self._pos = pos = 0
-                        n = len(cur)
-                    if max_events is not None and fired >= max_events:
                         return
-                    time, _, _, fn, args = cur[pos]
-                    if until is not None and time > until:
-                        self._now = until
-                        return
-                    pos += 1
-                    self._pos = pos
-                    self._now = time
-                    fired += 1
-                    fn(*args)
-                    pos = self._pos
+                    top.sort()
+                    cur = self._cur = top
+                    top = self._top = []
+                    self._pos = pos = 0
                     n = len(cur)
-                if until is not None and until > self._now:
-                    self._now = until
+                elif pos >= trim:
+                    del cur[:pos]
+                    self._pos = pos = 0
+                    n = len(cur)
+                time, _, _, fn, args = cur[pos]
+                pos += 1
+                self._pos = pos
+                self._now = time
+                fired += 1
+                fn(*args)
+                pos = self._pos
+                n = len(cur)
         finally:
             self._pos = pos
             self._events_processed += fired

@@ -234,10 +234,9 @@ def _enter_shard(rt: "Runtime", shard_id: int, block: range) -> dict:
         "cpu": time.process_time(),
         "log_len": len(rt.tracer.events) if rt.tracer is not None else 0,
     }
-    # Shards report their whole post-fork stats/samples; anything
-    # inherited from before the fork belongs to the parent's copy.
+    # Shards report their whole post-fork stats; anything inherited
+    # from before the fork belongs to the parent's copy.
     rt.trace.stats.clear()
-    rt.trace.samples.clear()
     return base
 
 
@@ -322,7 +321,6 @@ def _final_payload(rt: "Runtime", block: range, base: dict) -> dict:
         "events_processed": rt.sim.events_processed - base["events"],
         "counters": counters,
         "stats": dict(rt.trace.stats),
-        "samples": {k: list(v) for k, v in rt.trace.samples.items()},
         "pes": pes,
         "states": states,
         "trace_events": events,
@@ -341,8 +339,6 @@ def _merge_final(rt: "Runtime", payload: dict) -> None:
         rt.trace.counters[name] += delta
     for name, st in payload["stats"].items():
         rt.trace.stats[name].merge(st)
-    for name, samples in payload["samples"].items():
-        rt.trace.samples[name].extend(samples)
     for rank, (busy_until, busy_time, queue, internal) in payload["pes"].items():
         pe = rt.pes[rank]
         pe.busy_until = busy_until

@@ -1,10 +1,9 @@
 """Lightweight tracing and statistics collection.
 
 The runtime and network models emit *trace points* (named counters and
-timestamped samples) through a :class:`Trace` object.  Tracing is
-always structurally on but cheap: counters are plain dict increments,
-and sample recording can be disabled wholesale for large performance
-runs.
+sampled values) through a :class:`Trace` object.  Tracing is always on
+but cheap: counters are plain dict increments, and a sampled value
+folds into a per-name :class:`RunningStats` and is not kept.
 
 The sites that run once per message or put skip :meth:`Trace.count`
 and increment ``trace.counters[name]`` in place (the dict defaults to
@@ -24,8 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 
 class RunningStats:
@@ -93,54 +90,20 @@ class RunningStats:
         return f"RunningStats(n={self.n}, mean={self.mean:.3g}, stdev={self.stdev:.3g})"
 
 
-@dataclass
-class Sample:
-    """A timestamped trace sample."""
-
-    time: float
-    value: float
-
-
 class Trace:
-    """Named counters, per-category stats, and optional raw samples.
+    """Named counters and per-name running statistics."""
 
-    Parameters
-    ----------
-    record_samples:
-        When False (the default for large performance runs), ``sample``
-        still updates the per-category :class:`RunningStats` but does
-        not retain the raw time series.
-    now_fn:
-        Clock callable used to stamp samples whose caller passes no
-        explicit time.  The owning runtime wires its simulator clock in
-        here (``now_fn=lambda: sim.now``, closing over the simulator
-        rather than the runtime) so retained samples carry simulated
-        time rather than a meaningless 0.0.
-    """
-
-    def __init__(
-        self,
-        record_samples: bool = False,
-        now_fn: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.record_samples = record_samples
-        self.now_fn = now_fn
+    def __init__(self) -> None:
         self.counters: dict[str, int] = defaultdict(int)
         self.stats: dict[str, RunningStats] = defaultdict(RunningStats)
-        self.samples: dict[str, list[Sample]] = defaultdict(list)
 
     def count(self, name: str, n: int = 1) -> None:
         """Increment a named counter."""
         self.counters[name] += n
 
-    def sample(self, name: str, value: float, time: Optional[float] = None) -> None:
-        """Record one value into a named statistic.  Retained samples
-        are stamped with ``time``, falling back to the attached clock."""
+    def sample(self, name: str, value: float) -> None:
+        """Fold one value into a named statistic."""
         self.stats[name].add(value)
-        if self.record_samples:
-            if time is None:
-                time = self.now_fn() if self.now_fn is not None else 0.0
-            self.samples[name].append(Sample(time, value))
 
     def counter(self, name: str) -> int:
         """Current value of a named counter (0 if never counted)."""
@@ -163,9 +126,3 @@ class Trace:
                 "total": st.total,
             }
         return out
-
-    def reset(self) -> None:
-        """Clear all counters, stats, and samples."""
-        self.counters.clear()
-        self.stats.clear()
-        self.samples.clear()

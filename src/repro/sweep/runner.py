@@ -24,7 +24,10 @@ Guarantees, in order of importance:
 Pool size and per-point timeout come from the run configuration
 (:mod:`repro.config`: ``jobs``, ``sweep_timeout``) unless given
 explicitly.  Workers fork wherever ``fork`` exists, so they inherit
-every registered point function.
+every registered point function.  Workers are daemonic and may not
+fork, so a sharded point run in a worker is one in-process shard
+(:func:`repro.sim.parallel.run_sharded`): ``jobs`` alone sets how many
+processes a sweep runs.
 """
 
 from __future__ import annotations
@@ -142,12 +145,6 @@ class SweepRunner:
     ) -> None:
         self.config = current().replace(jobs=jobs, sweep_timeout=timeout)
         self.jobs = self.config.jobs
-        shards = self.config.shards
-        if shards is not None and shards > 1 and self.jobs > 1:
-            # Each point may fork `shards` engine workers of its own:
-            # scale the pool so jobs x shards stays within the
-            # requested process budget.
-            self.jobs = max(1, self.jobs // shards)
         self.timeout = self.config.sweep_timeout
         self.label = label
 

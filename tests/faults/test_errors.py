@@ -86,7 +86,7 @@ def test_overlapping_phases_race_is_detected():
     The state machine blocks the *issue* on this simulator, but real
     RDMA has no such guard — a write posted by a racing sender lands
     regardless.  Emulate that errant landing by driving the delivery
-    path directly: with RACE_CHECK on (the default) it must raise
+    path directly: the use-before-ready check (always on) must raise
     instead of silently overwriting data the receiver still owns.
     """
     rt, arr, recv, send, handle = _consumed_channel()
@@ -101,21 +101,3 @@ def test_overlapping_phases_race_is_detected():
         handle.deliver()
     # the racing payload must not have landed
     assert not np.array_equal(recv.recv_arr, send.send_arr)
-
-
-def test_race_check_off_models_the_silent_hardware_overwrite(monkeypatch):
-    """With RACE_CHECK flipped off the landing silently clobbers the
-    receiver-owned buffer — the behaviour of the real hardware the
-    debug check exists to catch."""
-    rt, arr, recv, send, handle = _consumed_channel()
-    monkeypatch.setattr("repro.ckdirect.handle.RACE_CHECK", False)
-    send.send_arr[:] = 2.0
-    handle.deliver()  # no exception: data the receiver owns is gone
-    assert np.all(recv.recv_arr == 2.0)
-    assert handle.state is ChannelState.DELIVERED
-
-
-def test_race_check_is_on_by_default():
-    from repro.ckdirect import handle as handle_mod
-
-    assert handle_mod.RACE_CHECK is True

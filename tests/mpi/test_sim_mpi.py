@@ -11,22 +11,15 @@ from repro.mpi.flavors import regime_for, resolve_flavor, uses_rendezvous
 def test_world_construction_validates():
     with pytest.raises(MPIError):
         MPIWorld(ABE, 0)
-    with pytest.raises(MPIError):
-        MPIWorld(ABE, 2, placement="weird")
 
 
 def test_spread_placement_cross_node():
-    world = MPIWorld(ABE, 2, placement="spread")
+    """Every world puts one rank on each node."""
+    world = MPIWorld(ABE, 2)
     assert not world.fabric.topology.same_node(
         world.ranks[0].pe, world.ranks[1].pe
     )
-
-
-def test_packed_placement_same_node():
-    world = MPIWorld(ABE, 2, placement="packed")
-    assert world.fabric.topology.same_node(
-        world.ranks[0].pe, world.ranks[1].pe
-    )
+    assert [r.pe for r in world.ranks] == [0, ABE.cores_per_node]
 
 
 def test_unknown_flavor_rejected():

@@ -96,8 +96,11 @@ def test_idle_gaps_recorded():
 
 
 def test_explicit_tracer_argument():
+    """A log handed to ``tracing(log)`` is the one a new runtime
+    attaches to; the ambient tracer is the only way in."""
     log = EventLog()
-    rt = Runtime(ABE, 2, tracer=log)
+    with tracing(log):
+        rt = Runtime(ABE, 2)
     assert rt.tracer is log
     assert log.runs and log.runs[0][1] is rt
 

@@ -6,6 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Simulator
+from repro.sim.eventq import (
+    CalendarSimulator,
+    CompiledSimulator,
+    compiled_available,
+)
+
+IMPLS = [Simulator, CalendarSimulator]
+if compiled_available():
+    IMPLS.append(CompiledSimulator)
 
 delays = st.lists(
     st.tuples(
@@ -45,17 +54,23 @@ def test_clock_monotone(specs):
 @given(delays, st.integers(min_value=1, max_value=59))
 @settings(max_examples=40, deadline=None)
 def test_run_until_is_prefix_of_full_run(specs, cut_idx):
+    """Running one window up to a cut (``run_before``) and then to
+    empty (``run``) fires exactly the full run's sequence, on every
+    queue."""
     def schedule_all(sim, out):
         for i, (delay, prio) in enumerate(specs):
             sim.schedule(delay, lambda i=i: out.append(i), priority=prio)
 
-    full_sim, full = Simulator(), []
-    schedule_all(full_sim, full)
-    full_sim.run()
-
     cut = sorted(d for d, _ in specs)[min(cut_idx, len(specs)) - 1]
-    part_sim, part = Simulator(), []
-    schedule_all(part_sim, part)
-    part_sim.run(until=cut)
-    part_sim.run()
-    assert part == full
+    for impl in IMPLS:
+        full_sim, full = impl(), []
+        schedule_all(full_sim, full)
+        full_sim.run()
+
+        part_sim, part = impl(), []
+        schedule_all(part_sim, part)
+        part_sim.run_before(cut)
+        assert all(specs[i][0] < cut for i in part)
+        part_sim.run()
+        assert part == full
+        assert part_sim.events_processed == len(specs)

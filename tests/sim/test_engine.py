@@ -69,41 +69,6 @@ def test_events_can_schedule_events():
     assert sim.now == pytest.approx(5e-6)
 
 
-def test_run_until_stops_clock_exactly():
-    sim = Simulator()
-    fired = []
-    sim.schedule(1e-6, fired.append, 1)
-    sim.schedule(3e-6, fired.append, 3)
-    sim.run(until=2e-6)
-    assert fired == [1]
-    assert sim.now == pytest.approx(2e-6)
-    sim.run()
-    assert fired == [1, 3]
-
-
-def test_run_until_includes_boundary_event():
-    sim = Simulator()
-    fired = []
-    sim.schedule(2e-6, fired.append, "x")
-    sim.run(until=2e-6)
-    assert fired == ["x"]
-
-
-def test_run_advances_clock_to_until_when_empty():
-    sim = Simulator()
-    sim.run(until=7e-6)
-    assert sim.now == pytest.approx(7e-6)
-
-
-def test_max_events_bound():
-    sim = Simulator()
-    for i in range(10):
-        sim.schedule(i * 1e-6, lambda: None)
-    sim.run(max_events=3)
-    assert sim.events_processed == 3
-    assert sim.pending == 7
-
-
 def test_run_not_reentrant():
     sim = Simulator()
     errors = []

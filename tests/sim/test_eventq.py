@@ -4,9 +4,9 @@ Every implementation — heap reference, pure-Python calendar, and the
 compiled core when built — must honor the complete
 :class:`~repro.sim.engine.Simulator` contract: pop order, one-way
 scheduling (``at``/``schedule`` return nothing and take ``priority``
-as their only keyword), rejection semantics,
-``run``/``run_before``/``next_event_time`` behavior, and settable
-``_now`` (the parallel engine's final-merge path writes it).
+as their only keyword), rejection semantics, ``run`` (to empty, with
+no bound), ``run_before`` and ``next_event_time`` behavior, and
+settable ``_now`` (the parallel engine's final-merge path writes it).
 """
 
 import math
@@ -114,26 +114,20 @@ def test_batch_tiebreak_is_submission_order(sim):
     assert fired == list(range(8))
 
 
-def test_run_until_fires_boundary_and_advances_clock(sim):
+def test_run_takes_no_bound(sim):
+    """``run()`` runs to empty and ``run_before(bound)`` runs one
+    window; a bound passed to ``run`` is refused before anything
+    fires."""
     fired = []
     sim.at(1.0, fired.append, "a")
-    sim.at(2.0, fired.append, "b")
-    sim.run(until=2.0)   # events at exactly `until` fire
-    assert fired == ["a", "b"]
-    assert sim.now == 2.0
-    sim.run(until=5.0)   # drained: clock still advances
-    assert sim.now == 5.0
-
-
-def test_run_max_events_stops_without_clock_jump(sim):
-    fired = []
-    for i in range(5):
-        sim.at(float(i + 1), fired.append, i)
-    sim.run(until=100.0, max_events=2)
-    assert fired == [0, 1]
-    assert sim.now == 2.0  # stopped by budget, not advanced to `until`
+    for kwargs in ({"until": 2.0}, {"max_events": 1}):
+        with pytest.raises(TypeError):
+            sim.run(**kwargs)
+    with pytest.raises(TypeError):
+        sim.run(2.0)
+    assert fired == [] and sim.pending == 1
     sim.run()
-    assert fired == [0, 1, 2, 3, 4]
+    assert fired == ["a"] and sim.now == 1.0
 
 
 def test_run_before_is_strict(sim):

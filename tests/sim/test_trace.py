@@ -83,19 +83,14 @@ def test_trace_counters():
 
 
 def test_trace_samples_stats_only_by_default():
+    """A sampled value folds into its running statistic; no raw
+    series is kept."""
     tr = Trace()
     tr.sample("lat", 1.0)
     tr.sample("lat", 3.0)
     assert tr.stat("lat").n == 2
-    assert tr.samples["lat"] == []
-
-
-def test_trace_records_samples_when_enabled():
-    tr = Trace(record_samples=True)
-    tr.sample("lat", 1.5, time=2.0)
-    assert len(tr.samples["lat"]) == 1
-    assert tr.samples["lat"][0].time == 2.0
-    assert tr.samples["lat"][0].value == 1.5
+    assert tr.stat("lat").mean == 2.0
+    assert not hasattr(tr, "samples")
 
 
 def test_trace_summary_shape():
@@ -106,35 +101,3 @@ def test_trace_summary_shape():
     assert s["counters"]["msgs"] == 3
     assert s["stats"]["lat"]["n"] == 1
     assert s["stats"]["lat"]["mean"] == 2.0
-
-
-def test_trace_reset():
-    tr = Trace(record_samples=True)
-    tr.count("a")
-    tr.sample("b", 1.0)
-    tr.reset()
-    assert tr.counter("a") == 0
-    assert tr.samples == {}
-
-
-def test_trace_samples_stamped_by_attached_clock():
-    clock = [0.0]
-    tr = Trace(record_samples=True, now_fn=lambda: clock[0])
-    clock[0] = 3.5
-    tr.sample("lat", 1.0)
-    clock[0] = 7.25
-    tr.sample("lat", 2.0)
-    times = [s.time for s in tr.samples["lat"]]
-    assert times == [3.5, 7.25]
-
-
-def test_trace_explicit_time_beats_clock():
-    tr = Trace(record_samples=True, now_fn=lambda: 99.0)
-    tr.sample("lat", 1.0, time=2.0)
-    assert tr.samples["lat"][0].time == 2.0
-
-
-def test_trace_sample_time_defaults_to_zero_without_clock():
-    tr = Trace(record_samples=True)
-    tr.sample("lat", 1.0)
-    assert tr.samples["lat"][0].time == 0.0

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.config import ConfigError
+from repro.config import ConfigError, RunConfig, install
 from repro.projections.eventlog import EventLog, tracing
 from repro.sweep import (
     RunSpec,
@@ -79,6 +79,13 @@ def test_explicit_knobs_use_config_validation():
             SweepRunner(**kw)
     runner = SweepRunner(jobs=3, timeout=2.5)
     assert (runner.config.jobs, runner.timeout) == (3, 2.5)
+
+
+def test_shard_count_does_not_shrink_the_pool():
+    """Sweep workers are daemonic, so a sharded point runs in-process
+    there and forks no shards: the pool keeps every requested job."""
+    with install(RunConfig(jobs=4, shards=2)):
+        assert SweepRunner().jobs == 4
 
 
 class TestExecuteSpec:
