@@ -39,7 +39,7 @@ CROSS = CustomMap(lambda idx, dims, n: 0 if idx[0] == 0 else n - 1)
 # ---------------------------------------------------------------------------
 
 
-def _legacy_put(handle, issue_cost=None):
+def _legacy_put(handle):
     rt = handle.rt
     pe = rt.current_pe
     if handle.src_pe is None or handle.src_buffer is None:
@@ -55,7 +55,7 @@ def _legacy_put(handle, issue_cost=None):
         handle.stamp_sentinel()
     handle.state = ChannelState.IN_FLIGHT
     nbytes = handle.recv_buffer.nbytes
-    pe.charge(rt.machine.ckdirect.put_issue if issue_cost is None else issue_cost)
+    pe.charge(rt.machine.ckdirect.put_issue)
     if rt.tracer is not None:
         raise AssertionError("benchmark runs untraced")
     rt.trace.count("ckdirect.puts")

@@ -6,7 +6,7 @@ Prints each artifact side by side with the paper's printed values
 ablations.  This is the same harness the benchmark suite asserts
 shapes on; see EXPERIMENTS.md for the recorded comparison.
 
-Run:  python examples/reproduce_paper.py            (~5-10 minutes)
+Run:  python examples/reproduce_paper.py   (~95 s, one worker, 2-vCPU host)
       REPRO_FULL_SCALE=1 python examples/reproduce_paper.py
                         (adds the 2048/4096-PE BG/P points; slower)
 """

@@ -90,21 +90,3 @@ class OpenAtomConfig:
     def points_bytes(self) -> int:
         """Bytes of one (state, plane) point set."""
         return self.points_per_plane * POINT_BYTES
-
-    @property
-    def gs_count(self) -> int:
-        """Number of GSpace chares."""
-        return self.nstates * self.nplanes
-
-    @property
-    def pc_count(self) -> int:
-        """Number of PairCalculator chares."""
-        return self.nblocks * self.nblocks * self.nplanes
-
-    @property
-    def channels_total(self) -> int:
-        """CkDirect channels in the CKD version: every (state, plane)
-        feeds one row-side and one column-side PC block per plane —
-        2 × nblocks channels per GS chare (cf. the paper's
-        4 × nstates × nplanes at the coarsest decomposition)."""
-        return 2 * self.nblocks * self.gs_count

@@ -6,7 +6,6 @@ from .decomp import (
     BlockSpec,
     choose_grid,
     factor_triples,
-    make_blocks,
     opposite,
 )
 from .driver import (
@@ -36,7 +35,6 @@ __all__ = [
     "opposite",
     "choose_grid",
     "factor_triples",
-    "make_blocks",
     "block_initial",
     "jacobi_reference",
     "jacobi_step",

@@ -106,20 +106,3 @@ class BlockSpec:
         """Elements in this block's interior."""
         sx, sy, sz = self.shape
         return sx * sy * sz
-
-
-def make_blocks(
-    domain: Tuple[int, int, int], grid: Tuple[int, int, int]
-) -> dict:
-    """BlockSpec for every chare index of the grid."""
-    X, Y, Z = domain
-    cx, cy, cz = grid
-    if X % cx or Y % cy or Z % cz:
-        raise ValueError(f"grid {grid} does not divide domain {domain}")
-    shape = (X // cx, Y // cy, Z // cz)
-    return {
-        (i, j, k): BlockSpec((i, j, k), grid, shape)
-        for i in range(cx)
-        for j in range(cy)
-        for k in range(cz)
-    }

@@ -30,12 +30,7 @@ from .harness import (
     run_table2,
     run_vr_ablation,
 )
-from .report import (
-    max_abs_relative_error,
-    relative_error,
-    render_series,
-    render_table,
-)
+from .report import render_series, render_table
 from .shapes import ShapeError
 
 __all__ = [
@@ -58,6 +53,4 @@ __all__ = [
     "ShapeError",
     "render_table",
     "render_series",
-    "relative_error",
-    "max_abs_relative_error",
 ]

@@ -64,13 +64,3 @@ def render_series(
         lines.append(_fmt_row(r, widths))
     lines.append(f"(unit: {unit})")
     return "\n".join(lines)
-
-
-def relative_error(measured: Sequence[float], paper: Sequence[float]) -> List[float]:
-    """Signed relative error of each measured point vs the paper's."""
-    return [(m - p) / p for m, p in zip(measured, paper)]
-
-
-def max_abs_relative_error(measured: Sequence[float], paper: Sequence[float]) -> float:
-    """Largest |relative error| across a series."""
-    return max(abs(e) for e in relative_error(measured, paper))

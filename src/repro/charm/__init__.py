@@ -7,7 +7,7 @@ Public surface:
 * :class:`ChareArray` / proxies — N-dimensional chare collections.
 * :class:`CkCallback` — deliverable continuations.
 * :class:`Payload` — bulk entry-method arguments (packed or zero-pack).
-* Mappings — :class:`BlockMap`, :class:`RoundRobinMap`, :class:`CustomMap`.
+* Mappings — :class:`BlockMap`, :class:`CustomMap`.
 """
 
 from .array import ArrayProxy, ChareArray, ElementProxy
@@ -20,7 +20,7 @@ from .errors import (
     MappingError,
     ReductionError,
 )
-from .mapping import BlockMap, CustomMap, Mapping, RoundRobinMap, linear_index
+from .mapping import BlockMap, CustomMap, Mapping, linear_index
 from .message import Message, Payload
 from .pe import PE
 from .reduction import REDUCERS, ReductionManager
@@ -41,7 +41,6 @@ __all__ = [
     "PE",
     "Mapping",
     "BlockMap",
-    "RoundRobinMap",
     "CustomMap",
     "linear_index",
     "ReductionManager",

@@ -58,13 +58,6 @@ class Chare:
         return self._pe.rank
 
     @property
-    def index1d(self) -> int:
-        """This element's index when the array is one-dimensional."""
-        if len(self.thisIndex) != 1:
-            raise ContextError(f"array is {len(self.thisIndex)}-D; use thisIndex")
-        return self.thisIndex[0]
-
-    @property
     def now(self) -> float:
         """This chare's local simulated time (its PE's cursor)."""
         return self._pe.cursor

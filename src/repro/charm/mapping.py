@@ -52,14 +52,6 @@ class BlockMap(Mapping):
         return linear_index(index, dims) * n_pes // prod(dims)
 
 
-class RoundRobinMap(Mapping):
-    """Linear index modulo PE count — maximal scatter."""
-
-    def pe_for(self, index, dims, n_pes):
-        """Home PE for an element index under this mapping."""
-        return linear_index(index, dims) % n_pes
-
-
 class CustomMap(Mapping):
     """Wrap a user function ``(index, dims, n_pes) -> pe``."""
 

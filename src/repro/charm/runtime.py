@@ -179,9 +179,9 @@ class Runtime:
                 )
                 self.fault_injector.attach(self.fabric)
         # --- parallel engine (see repro.sim.parallel) ------------------
-        #: requested shard count; None = untouched legacy serial path
-        #: (only an explicit argument arms the engine: the app drivers
-        #: pass the configured count).
+        #: requested shard count; None = the serial path.  Engine mode
+        #: is on exactly when it is set (only an explicit argument arms
+        #: the engine: the app drivers pass the configured count).
         self.shards = shards
         #: CkDirect handles created by this process, by hid (the
         #: receiver-side registry cross-shard puts resolve against).
@@ -522,8 +522,6 @@ class Runtime:
             if self.fabric._engine:
                 from ..sim.parallel import run_sharded
                 return run_sharded(self)
-            if self._pending_host_sends or self._defer_host_sends:
-                self._flush_host_sends()
             self.sim.run()
             return self.sim.now
 

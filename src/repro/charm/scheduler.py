@@ -59,11 +59,6 @@ class SchedulerQueue(deque):
         self.dequeues += 1
         return self.popleft()
 
-    @property
-    def mean_occupancy(self) -> float:
-        """Mean queue depth observed at dequeue times."""
-        return self.occupancy_sum / self.dequeues if self.dequeues else 0.0
-
 
 class DirectItem:
     """A completion delivered around the scheduler (BG/P CkDirect path).

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from functools import partial
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any
 
 from ..charm.errors import PutMismatchError
 from ..charm.scheduler import DirectItem
@@ -114,8 +114,7 @@ def assoc_local(chare: "Chare", handle: CkDirectHandle, src_buffer: Buffer) -> N
 
     Mirrors ``CkDirect_assocLocal``.  The same local buffer may be
     associated with *different* handles (one per receiver) without
-    copying — the paper's multi-destination pattern; see also
-    :mod:`repro.ckdirect.ext.multicast`.
+    copying — the paper's multi-destination pattern.
     """
     rt = chare.rt
     recv = handle.recv_buffer
@@ -154,7 +153,7 @@ _PUTTABLE_IB = (ChannelState.ARMED, ChannelState.MARKED)
 _PUTTABLE_BGP = (ChannelState.ARMED, ChannelState.MARKED, ChannelState.CONSUMED)
 
 
-def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
+def put(handle: CkDirectHandle) -> None:
     """Send the associated buffer's contents down the channel.
 
     Mirrors ``CkDirect_put``.  Must be called in the sending chare's
@@ -193,7 +192,7 @@ def put(handle: CkDirectHandle, issue_cost: Optional[float] = None) -> None:
         handle.state = ChannelState.IN_FLIGHT
         done = partial(_complete, handle)
     nbytes = handle.recv_buffer.nbytes
-    pe.charge(rt.machine.ckdirect.put_issue if issue_cost is None else issue_cost)
+    pe.charge(rt.machine.ckdirect.put_issue)
     tr = rt.tracer
     if tr is not None:
         # An instant, not a span: the issue cost is part of the

@@ -1,27 +1,13 @@
-"""CkDirect extensions — the paper's §6 future-work features:
-multicast channels, strided puts, and accumulating (reduction)
-channels."""
+"""CkDirect extensions — two of the paper's §6 future-work features:
+accumulating (reduction) channels and persistent-channel discovery."""
 
 from .accumulate import ACCUMULATE_OPS, AccumulateHandle, create_accumulate_handle
 from .autotune import ChannelAdvisor, ChannelCandidate, FlowStats
-from .multicast import REPEAT_ISSUE_FACTOR, MulticastChannel
-from .strided import (
-    PER_SEGMENT_OVERHEAD,
-    StridedChannel,
-    create_strided_channel,
-    segment_count,
-)
 
 __all__ = [
     "ChannelAdvisor",
     "ChannelCandidate",
     "FlowStats",
-    "MulticastChannel",
-    "REPEAT_ISSUE_FACTOR",
-    "StridedChannel",
-    "create_strided_channel",
-    "segment_count",
-    "PER_SEGMENT_OVERHEAD",
     "AccumulateHandle",
     "create_accumulate_handle",
     "ACCUMULATE_OPS",

@@ -116,12 +116,6 @@ class ChannelAdvisor:
         rt.send = observing_send
         return self
 
-    def detach(self) -> None:
-        """Stop observing and restore Runtime.send."""
-        if self._orig_send is not None:
-            self.rt.send = self._orig_send
-            self._orig_send = None
-
     def _record(self, array, index, method, args) -> None:
         from ...charm.message import Payload
 

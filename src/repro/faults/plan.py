@@ -34,7 +34,6 @@ function of ``(workload, seed)`` and is reproducible at any ``--jobs N``.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -123,10 +122,6 @@ class FaultPlan:
                 f"known: {sorted(PROFILES)}"
             ) from None
         return cls(profile=profile, seed=seed, rules=rules)
-
-    def with_seed(self, seed: int) -> "FaultPlan":
-        """The same plan reseeded (independent fault sequence)."""
-        return dataclasses.replace(self, seed=seed)
 
 
 #: Built-in profiles, keyed by the ``--faults`` CLI names.  Each is a

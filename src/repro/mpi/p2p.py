@@ -82,13 +82,3 @@ class Matcher:
                 return recv
         self.unexpected.append(arrival)
         return None
-
-    @property
-    def pending_recvs(self) -> int:
-        """Number of posted, unmatched receives."""
-        return len(self.posted)
-
-    @property
-    def pending_unexpected(self) -> int:
-        """Number of unmatched arrivals queued."""
-        return len(self.unexpected)

@@ -18,7 +18,7 @@ from .params import (
     T3,
     interp_table,
 )
-from .topology import FatTree, GraphTopology, Topology, TopologyError, Torus3D
+from .topology import FatTree, Topology, TopologyError, Torus3D
 
 __all__ = [
     "Fabric",
@@ -30,7 +30,6 @@ __all__ = [
     "TopologyError",
     "FatTree",
     "Torus3D",
-    "GraphTopology",
     "MachineParams",
     "CharmParams",
     "CkDirectParams",

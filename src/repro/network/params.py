@@ -63,7 +63,7 @@ Blue Gene/P (ANL Surveyor, Table 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Sequence, Tuple
 
 from ..util.units import us
@@ -229,10 +229,6 @@ class MachineParams:
         if self.kind == "ib":
             return FatTree(n_nodes, self.cores_per_node)
         return Torus3D.for_pes(n_pes, self.cores_per_node)
-
-    def with_overrides(self, **kwargs) -> "MachineParams":
-        """A copy with selected top-level fields replaced (for ablations)."""
-        return replace(self, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,29 +2,22 @@
 
 A topology answers two questions the interconnect models ask:
 
-* :meth:`Topology.hops` — how many network hops separate two PEs'
+* :meth:`Topology.node_of` — which node hosts a PE (two PEs on one
+  node exchange data through shared memory, not the NIC),
+* :meth:`Topology.node_hops` — how many network hops separate two
   nodes (used by the Blue Gene/P torus latency model; the fat-tree
   model folds switch traversal into its base latency, so it reports a
-  constant).  :meth:`Topology.node_hops` answers the same for two node
-  indices, for a caller that has already resolved them,
-* :meth:`Topology.same_node` — whether two PEs share a node (intra-
-  node transfers travel through shared memory, not the NIC).
+  constant).
 
 PEs are numbered ``0 .. n_pes-1`` and packed onto nodes in rank order
 (``cores_per_node`` consecutive PEs per node), matching how the paper's
 jobs were laid out (e.g. "2 cores per node" for the OpenAtom Abe runs
 maps PEs 0,1 to node 0, and so on).
-
-The networkx-backed :class:`GraphTopology` exists for validation and
-extension: tests cross-check the closed-form torus hop count against
-shortest paths on an explicitly constructed torus graph.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
-
-import networkx as nx
+from typing import Tuple
 
 
 class TopologyError(ValueError):
@@ -47,19 +40,6 @@ class Topology:
         if not (0 <= pe < self.n_pes):
             raise TopologyError(f"PE {pe} out of range [0, {self.n_pes})")
         return pe // self.cores_per_node
-
-    def same_node(self, a: int, b: int) -> bool:
-        """True when both PEs share a node."""
-        n = self.n_pes
-        if not (0 <= a < n and 0 <= b < n):
-            bad = b if 0 <= a < n else a
-            raise TopologyError(f"PE {bad} out of range [0, {n})")
-        cpn = self.cores_per_node
-        return a // cpn == b // cpn
-
-    def hops(self, a: int, b: int) -> int:
-        """Network hops between the nodes hosting PEs ``a`` and ``b``."""
-        return self.node_hops(self.node_of(a), self.node_of(b))
 
     def node_hops(self, na: int, nb: int) -> int:
         """Network hops between nodes ``na`` and ``nb``."""
@@ -143,54 +123,6 @@ class Torus3D(Topology):
         return total
 
 
-class GraphTopology(Topology):
-    """An arbitrary networkx graph of nodes; hops = shortest path.
-
-    Heavyweight (all-pairs BFS on demand, cached) — intended for unit
-    tests and custom-machine examples, not large performance runs.
-    """
-
-    def __init__(self, graph: nx.Graph, cores_per_node: int = 1) -> None:
-        if graph.number_of_nodes() == 0:
-            raise TopologyError("graph has no nodes")
-        if not nx.is_connected(graph):
-            raise TopologyError("topology graph must be connected")
-        self.graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-        super().__init__(self.graph.number_of_nodes(), cores_per_node)
-        self._dist_cache: dict[int, dict[int, int]] = {}
-
-    def node_hops(self, na: int, nb: int) -> int:
-        """Network hops between two nodes."""
-        if na == nb:
-            return 0
-        if na not in self._dist_cache:
-            self._dist_cache[na] = nx.single_source_shortest_path_length(
-                self.graph, na
-            )
-        return self._dist_cache[na][nb]
-
-    @classmethod
-    def torus(cls, dims: Tuple[int, int, int], cores_per_node: int = 1) -> "GraphTopology":
-        """Explicit torus graph, used to validate :class:`Torus3D.hops`."""
-        g = nx.grid_graph(dim=list(reversed(dims)), periodic=True)
-        # networkx grid_graph(dim=[dz, dy, dx]) labels nodes (x, y, z)
-        # with the *first* tuple slot ranging over the *last* dim entry;
-        # relabel to the x-major integer order Torus3D uses.
-        X, Y, Z = dims
-        mapping = {}
-        for node in g.nodes:
-            x, y, z = node if isinstance(node, tuple) else (node, 0, 0)
-            mapping[node] = x + X * (y + Y * z)
-        g = nx.relabel_nodes(g, mapping)
-        return cls(g, cores_per_node)
-
-
-def pes_on_node(topo: Topology, node: int) -> Iterable[int]:
-    """The PE ranks hosted by ``node``."""
-    base = node * topo.cores_per_node
-    return range(base, base + topo.cores_per_node)
-
-
 def shard_nodes(topo: Topology, n_shards: int) -> "list[range]":
     """Partition the node ranks into ``n_shards`` contiguous blocks.
 
@@ -217,12 +149,3 @@ def shard_nodes(topo: Topology, n_shards: int) -> "list[range]":
         out.append(range(start, start + count))
         start += count
     return out
-
-
-def shard_of_node(topo: Topology, node: int, n_shards: int) -> int:
-    """The shard owning ``node`` under :func:`shard_nodes` (closed form)."""
-    base, rem = divmod(topo.n_nodes, n_shards)
-    split = rem * (base + 1)
-    if node < split:
-        return node // (base + 1)
-    return rem + (node - split) // base

@@ -12,8 +12,8 @@ equivalent observability layer for the simulated stack:
   layers.  Near-zero cost when disabled (one ``is None`` branch per
   hook site).
 * :mod:`repro.projections.analysis` — per-PE utilization profiles,
-  per-category overhead attribution, time-binned histograms, and a
-  critical-path estimate over the message-causality graph.
+  per-category overhead attribution, and a critical-path estimate
+  over the message-causality graph.
 * :mod:`repro.projections.export` — Chrome trace-event JSON (open in
   Perfetto / ``chrome://tracing``; one track per PE) and terminal
   utilization tables.
@@ -31,7 +31,6 @@ Quickstart::
 """
 
 from .analysis import (
-    binned_profile,
     category_totals,
     critical_path,
     critical_path_summary,
@@ -78,7 +77,6 @@ __all__ = [
     "utilization_profile",
     "category_totals",
     "name_totals",
-    "binned_profile",
     "critical_path",
     "critical_path_summary",
     "CAT_ENTRY",

@@ -6,9 +6,7 @@ Charm++ runs:
 * **Utilization profiles** — per-PE busy/idle accounting over the
   span timeline (:func:`utilization_profile`).
 * **Overhead attribution** — total PE time and event counts per
-  category and per name (:func:`category_totals`, :func:`name_totals`),
-  plus time-binned histograms for occupancy-over-time views
-  (:func:`binned_profile`).
+  category and per name (:func:`category_totals`, :func:`name_totals`).
 * **Critical path** — the longest causal chain through the
   message-causality graph (:func:`critical_path`,
   :func:`critical_path_summary`), an estimate of what bounds the
@@ -21,7 +19,7 @@ Charm++ runs:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .events import BUSY_CATEGORIES, CAT_IDLE, TraceEvent
 from .eventlog import EventLog
@@ -81,42 +79,6 @@ def name_totals(log: EventLog) -> Dict[str, Dict[str, float]]:
         slot["events"] += 1
         slot["time"] += ev.duration
     return dict(out)
-
-
-def binned_profile(
-    log: EventLog,
-    nbins: int = 20,
-    categories: Optional[Sequence[str]] = None,
-) -> Tuple[List[float], Dict[str, List[float]]]:
-    """Time-binned per-category busy-time histogram.
-
-    Returns ``(edges, {category: [time in bin, ...]})`` where ``edges``
-    has ``nbins + 1`` entries spanning the log's extent.  Span time is
-    apportioned to bins by overlap, so a span crossing an edge splits
-    across both bins — bin totals sum to the category totals exactly.
-    """
-    if nbins <= 0:
-        raise ValueError(f"nbins must be positive, got {nbins}")
-    spans = [e for e in log.events if e.is_span]
-    if not spans:
-        return [0.0] * (nbins + 1), {}
-    t_min = min(e.t0 for e in spans)
-    t_max = max(e.t1 for e in spans)
-    width = (t_max - t_min) / nbins or 1.0
-    edges = [t_min + i * width for i in range(nbins + 1)]
-    cats = set(categories) if categories is not None else {e.category for e in spans}
-    hist: Dict[str, List[float]] = {c: [0.0] * nbins for c in sorted(cats)}
-    for ev in spans:
-        if ev.category not in hist or ev.duration == 0.0:
-            continue
-        first = min(int((ev.t0 - t_min) / width), nbins - 1)
-        last = min(int((ev.t1 - t_min) / width), nbins - 1)
-        for b in range(first, last + 1):
-            lo = max(ev.t0, edges[b])
-            hi = min(ev.t1, edges[b + 1] if b + 1 < len(edges) else t_max)
-            if hi > lo:
-                hist[ev.category][b] += hi - lo
-    return edges, hist
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ The stack nests correctly because handler invocation is synchronous.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .events import KIND_INSTANT, KIND_SPAN, TraceEvent
 
@@ -140,28 +140,6 @@ class EventLog:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def select(
-        self,
-        run: Optional[int] = None,
-        pe: Optional[int] = None,
-        category: Optional[str] = None,
-        name_key: Optional[str] = None,
-        spans_only: bool = False,
-    ) -> Iterator[TraceEvent]:
-        """Iterate events matching every given filter."""
-        for ev in self.events:
-            if run is not None and ev.run != run:
-                continue
-            if pe is not None and ev.pe != pe:
-                continue
-            if category is not None and ev.category != category:
-                continue
-            if name_key is not None and ev.name_key != name_key:
-                continue
-            if spans_only and not ev.is_span:
-                continue
-            yield ev
 
     def by_eid(self) -> Dict[int, TraceEvent]:
         """An eid → event index (events hold unique ids)."""

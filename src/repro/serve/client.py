@@ -190,10 +190,3 @@ class ServeClient:
         if status != 200:
             raise ServeClientError(status, body)
         return body
-
-    def healthy(self) -> bool:
-        try:
-            status, _h, _d = self._request("GET", "/healthz")
-        except OSError:
-            return False
-        return status == 200

@@ -23,7 +23,7 @@ from .eventq import (
     eventq_name,
     make_simulator,
 )
-from .rng import DEFAULT_SEED, make_rng, split_seeds, substream
+from .rng import substream
 from .trace import RunningStats, Trace
 
 __all__ = [
@@ -32,10 +32,7 @@ __all__ = [
     "Entity",
     "Trace",
     "RunningStats",
-    "make_rng",
     "substream",
-    "split_seeds",
-    "DEFAULT_SEED",
     "make_simulator",
     "eventq_name",
     "compiled_available",

@@ -500,10 +500,9 @@ def _fork_plan(rt: "Runtime") -> Tuple[int, Optional[Any]]:
     simulator before the run (their shard affinity is unknowable), when
     the platform has no ``fork`` start method, or when the calling
     process is itself a daemonic worker (e.g. a sweep-pool process,
-    which may not fork children of its own).  Runs that never enable
-    engine mode (BG/P per-link contention) do not reach here, and
+    which may not fork children of its own).
     :class:`~repro.charm.runtime.Runtime` refuses a shard count with
-    fault plans or reliability.
+    fault plans or reliability, so a faulted run never reaches here.
     """
     n = min(rt.shards or 1, rt.fabric.topology.n_nodes)
     if n > 1 and rt.sim.pending:

@@ -2,25 +2,15 @@
 
 All stochastic behaviour in the simulation (randomized initial data,
 randomized mappings, jitter models in ablation studies) must draw from
-generators created here so that a run is reproducible from a single
-seed.  Components that need independent streams derive them with
-:func:`substream`, which uses ``numpy``'s ``SeedSequence.spawn``
+generators made by :func:`substream` so that a run is reproducible
+from a single seed.  It uses ``numpy``'s ``SeedSequence.spawn``
 machinery — streams are statistically independent and stable across
 runs.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
-
-DEFAULT_SEED = 0x5EED_C0DE
-
-
-def make_rng(seed: int = DEFAULT_SEED) -> np.random.Generator:
-    """Create the root generator for a simulation run."""
-    return np.random.default_rng(np.random.SeedSequence(seed))
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -36,21 +26,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         children = ss.spawn(int(key) + 1)
         ss = children[int(key)]
     return np.random.default_rng(ss)
-
-
-def deterministic_permutation(n: int, seed: int) -> np.ndarray:
-    """A reproducible permutation of ``range(n)``."""
-    return make_rng(seed).permutation(n)
-
-
-def split_seeds(seed: int, n: int) -> list[int]:
-    """Produce ``n`` stable child seeds from ``seed``."""
-    ss = np.random.SeedSequence(seed)
-    return [int(s.generate_state(1)[0]) for s in ss.spawn(n)]
-
-
-def assert_all_distinct(seeds: Iterable[int]) -> None:
-    """Sanity helper used by tests: child seeds must not collide."""
-    seeds = list(seeds)
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("seed collision in derived streams")

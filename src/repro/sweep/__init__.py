@@ -18,7 +18,7 @@ Layered as:
 
 from . import stats
 from .points import POINTS, point_function, register_point
-from .runner import SweepRunner, execute_spec, run_sweep
+from .runner import SweepRunner, execute_spec
 from .spec import (
     ENGINE_SCHEMA,
     RunResult,
@@ -44,6 +44,5 @@ __all__ = [
     "machine_overrides",
     "point_function",
     "register_point",
-    "run_sweep",
     "stats",
 ]

@@ -185,10 +185,6 @@ class SweepRunner:
         ))
         return results
 
-    def run_values(self, specs: Sequence[RunSpec]) -> Dict[tuple, Dict]:
-        """Run and return ``{spec.key: values}``, raising on any failure."""
-        return {r.spec.key: r.unwrap() for r in self.run(specs)}
-
     # ------------------------------------------------------------------
     # Parallel path
     # ------------------------------------------------------------------
@@ -280,13 +276,3 @@ class SweepRunner:
                     _merge_trace(tracer, res)
                     res.trace_events, res.trace_runs = [], []
         return out
-
-
-def run_sweep(
-    specs: Sequence[RunSpec],
-    jobs: Optional[int] = None,
-    timeout: Optional[float] = None,
-    label: str = "sweep",
-) -> Dict[tuple, Dict]:
-    """One-call convenience: run specs, return ``{spec.key: values}``."""
-    return SweepRunner(jobs=jobs, timeout=timeout, label=label).run_values(specs)

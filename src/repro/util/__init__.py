@@ -1,48 +1,17 @@
 """Shared utilities: units, buffers, statistics."""
 
 from .buffers import Buffer, BufferError_
-from .stats import (
-    geometric_mean,
-    monotone_increasing,
-    percent_improvement,
-    speedup,
-    within_factor,
-)
-from .units import (
-    GB_per_s,
-    KB,
-    KiB,
-    MB,
-    MB_per_s,
-    MiB,
-    fmt_bytes,
-    fmt_us,
-    ms,
-    ns,
-    to_ms,
-    to_us,
-    us,
-)
+from .stats import monotone_increasing, percent_improvement
+from .units import KB, MB, fmt_bytes, ms, us
 
 __all__ = [
     "Buffer",
     "BufferError_",
     "percent_improvement",
-    "speedup",
-    "geometric_mean",
     "monotone_increasing",
-    "within_factor",
-    "ns",
     "us",
     "ms",
-    "to_us",
-    "to_ms",
     "KB",
     "MB",
-    "KiB",
-    "MiB",
-    "GB_per_s",
-    "MB_per_s",
     "fmt_bytes",
-    "fmt_us",
 ]

@@ -4,31 +4,12 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 
 def percent_improvement(baseline: float, improved: float) -> float:
     """Percentage by which ``improved`` beats ``baseline`` (positive = better)."""
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return 100.0 * (baseline - improved) / baseline
-
-
-def speedup(baseline: float, improved: float) -> float:
-    """baseline/improved ratio (>1 means improved is faster)."""
-    if improved <= 0:
-        raise ValueError("improved time must be positive")
-    return baseline / improved
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sequence")
-    if np.any(arr <= 0):
-        raise ValueError("geometric mean requires positive values")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def monotone_increasing(values: Sequence[float], slack: float = 0.0) -> bool:
@@ -39,14 +20,6 @@ def monotone_increasing(values: Sequence[float], slack: float = 0.0) -> bool:
     """
     vals = list(values)
     return all(b >= a - slack for a, b in zip(vals, vals[1:]))
-
-
-def within_factor(measured: float, reference: float, factor: float) -> bool:
-    """True when measured is within a multiplicative band of reference."""
-    if reference <= 0 or measured <= 0:
-        raise ValueError("values must be positive")
-    ratio = measured / reference
-    return 1.0 / factor <= ratio <= factor
 
 
 class LatencyHistogram:

@@ -2,8 +2,7 @@
 
 All simulated time is ``float`` seconds and all sizes are ``int``
 bytes.  These helpers keep parameter tables and call sites legible
-(``us(4.2)`` instead of ``4.2e-6``) and provide the inverse conversions
-used by report formatting.
+(``us(4.2)`` instead of ``4.2e-6``).
 """
 
 from __future__ import annotations
@@ -11,11 +10,6 @@ from __future__ import annotations
 # ---------------------------------------------------------------------------
 # Time
 # ---------------------------------------------------------------------------
-
-
-def ns(x: float) -> float:
-    """Nanoseconds → seconds."""
-    return x * 1e-9
 
 
 def us(x: float) -> float:
@@ -26,16 +20,6 @@ def us(x: float) -> float:
 def ms(x: float) -> float:
     """Milliseconds → seconds."""
     return x * 1e-3
-
-
-def to_us(seconds: float) -> float:
-    """Seconds → microseconds."""
-    return seconds * 1e6
-
-
-def to_ms(seconds: float) -> float:
-    """Seconds → milliseconds."""
-    return seconds * 1e3
 
 
 # ---------------------------------------------------------------------------
@@ -54,29 +38,9 @@ def MB(x: float) -> int:
     return int(x * 1_000_000)
 
 
-def KiB(x: float) -> int:
-    """Binary kibibytes -> bytes."""
-    return int(x * 1024)
-
-
-def MiB(x: float) -> int:
-    """Binary mebibytes -> bytes."""
-    return int(x * 1024 * 1024)
-
-
 # ---------------------------------------------------------------------------
-# Rates
+# Formatting
 # ---------------------------------------------------------------------------
-
-
-def GB_per_s(x: float) -> float:
-    """Gigabytes/second → seconds-per-byte (inverse bandwidth)."""
-    return 1.0 / (x * 1e9)
-
-
-def MB_per_s(x: float) -> float:
-    """Megabytes/second → seconds-per-byte (inverse bandwidth)."""
-    return 1.0 / (x * 1e6)
 
 
 def fmt_bytes(n: int) -> str:
@@ -86,8 +50,3 @@ def fmt_bytes(n: int) -> str:
     if n >= 1_000:
         return f"{n / 1_000:g}KB"
     return f"{n}B"
-
-
-def fmt_us(seconds: float, digits: int = 3) -> str:
-    """Format a duration as microseconds, the unit the paper reports."""
-    return f"{to_us(seconds):.{digits}f}"

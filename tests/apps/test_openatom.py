@@ -25,9 +25,6 @@ def test_config_derived_quantities():
     cfg = OpenAtomConfig(nstates=64, nplanes=8, grain=8, points_per_plane=2048)
     assert cfg.nblocks == 8
     assert cfg.points_bytes == 2048 * 16
-    assert cfg.gs_count == 512
-    assert cfg.pc_count == 512
-    assert cfg.channels_total == 2 * 8 * 512
 
 
 def test_abe_2cpn():
@@ -102,9 +99,12 @@ def test_polling_mode_irrelevant_on_bgp():
 def test_channel_count_matches_formula():
     r = run_openatom(ABE, 4, mode="ckd", keep_runtime=True, **SMALL)
     cfg = r.cfg
+    # every (state, plane) GS chare feeds one row-side and one
+    # column-side PC block per state block: 2 x nblocks channels each
+    gs_chares = cfg.nstates * cfg.nplanes
     assert (
         r.runtime.trace.counter("ckdirect.handles_created")
-        == cfg.channels_total
+        == 2 * cfg.nblocks * gs_chares
     )
 
 

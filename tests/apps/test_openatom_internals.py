@@ -50,7 +50,7 @@ def test_multiplies_counted_via_trace():
     cfg = r.cfg
     # each PC multiplies once per iteration; each multiply is a local
     # self-send entry ("the callback enqueues an entry method")
-    pc_count = cfg.pc_count
+    pc_count = cfg.nblocks * cfg.nblocks * cfg.nplanes
     msgs = r.runtime.trace.counter("pe.messages_executed")
     assert msgs >= pc_count * cfg.iterations
 

@@ -7,7 +7,6 @@ from repro.apps.stencil.decomp import (
     BlockSpec,
     choose_grid,
     factor_triples,
-    make_blocks,
     opposite,
 )
 
@@ -80,11 +79,3 @@ def test_face_sizes():
     assert spec.face_elems((2, 1)) == 24  # 4*6
     assert spec.face_bytes((0, 1)) == 48 * 8
     assert spec.interior_elems == 4 * 6 * 8
-
-
-def test_make_blocks():
-    blocks = make_blocks((8, 8, 8), (2, 2, 2))
-    assert len(blocks) == 8
-    assert all(b.shape == (4, 4, 4) for b in blocks.values())
-    with pytest.raises(ValueError):
-        make_blocks((9, 8, 8), (2, 2, 2))

@@ -1,13 +1,6 @@
 """Unit tests for report rendering."""
 
-import pytest
-
-from repro.bench.report import (
-    max_abs_relative_error,
-    relative_error,
-    render_series,
-    render_table,
-)
+from repro.bench.report import render_series, render_table
 
 
 def test_render_table_contains_everything():
@@ -35,13 +28,6 @@ def test_render_series():
     assert "Fig Z" in out
     assert "paper claim: it grows" in out
     assert "64" in out and "2.500" in out
-
-
-def test_relative_error():
-    errs = relative_error([110.0, 90.0], [100.0, 100.0])
-    assert errs[0] == pytest.approx(0.10)
-    assert errs[1] == pytest.approx(-0.10)
-    assert max_abs_relative_error([110.0, 80.0], [100.0, 100.0]) == pytest.approx(0.20)
 
 
 def test_paper_data_tables_complete():

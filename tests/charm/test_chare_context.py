@@ -11,7 +11,7 @@ class Ctx(Chare):
         self.seen = []
 
     def probe(self):
-        self.seen.append((self.my_pe, self.index1d, self.now))
+        self.seen.append((self.my_pe, self.thisIndex[0], self.now))
 
     def pack_something(self, nbytes):
         t0 = self.now
@@ -28,13 +28,6 @@ def test_my_pe_and_index1d():
     assert idx == 3
     assert pe == arr.pe_of(3)
     assert t > 0
-
-
-def test_index1d_rejects_multidim():
-    rt = Runtime(ABE, n_pes=1)
-    arr = rt.create_array(Ctx, dims=(2, 2))
-    with pytest.raises(ContextError):
-        arr.element((0, 0)).index1d
 
 
 def test_charge_pack_costs_scale_with_bytes():

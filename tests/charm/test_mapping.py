@@ -9,7 +9,6 @@ from repro.charm.mapping import (
     BlockMap,
     CustomMap,
     MappingError,
-    RoundRobinMap,
     linear_index,
 )
 
@@ -60,12 +59,6 @@ def test_block_map_balanced():
 
     counts = Counter(m.pe_for((i,), dims, n_pes) for i in range(16))
     assert set(counts.values()) == {4}
-
-
-def test_round_robin():
-    m = RoundRobinMap()
-    pes = [m.pe_for((i,), (8,), 3) for i in range(8)]
-    assert pes == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
 def test_custom_map():

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro import ABE, Chare, CkCallback, Runtime
-from repro.charm import BlockMap, CustomMap, RoundRobinMap
+from repro.charm import BlockMap, CustomMap, linear_index
+
+
+class RoundRobinMap(CustomMap):
+    """Linear index modulo PE count: a scattered placement."""
+
+    def __init__(self):
+        super().__init__(lambda idx, dims, n: linear_index(idx, dims) % n)
 
 
 class Counting(CustomMap):
@@ -124,10 +131,10 @@ class Ring(Chare):
     before that element exists."""
 
     def __init__(self, n):
-        nxt = (self.index1d + 1) % n
+        nxt = (self.thisIndex[0] + 1) % n
         self.right = self.proxy[nxt]
         self.right_pe = self._array.pe_of(nxt)
-        self.proxy[nxt].greet(self.index1d)
+        self.proxy[nxt].greet(self.thisIndex[0])
         self.got = []
 
     def greet(self, frm):

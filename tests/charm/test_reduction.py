@@ -12,16 +12,16 @@ class Contributor(Chare):
         self.results = []
 
     def go_sum(self, cb):
-        self.contribute(float(self.index1d + 1), "sum", cb)
+        self.contribute(float(self.thisIndex[0] + 1), "sum", cb)
 
     def go_barrier(self, cb):
         self.contribute(callback=cb)
 
     def go_max(self, cb):
-        self.contribute(float(self.index1d), "max", cb)
+        self.contribute(float(self.thisIndex[0]), "max", cb)
 
     def go_vector(self, cb):
-        self.contribute(np.full(3, float(self.index1d)), "sum", cb)
+        self.contribute(np.full(3, float(self.thisIndex[0])), "sum", cb)
 
     def catch(self, value):
         self.results.append(value)
@@ -81,7 +81,7 @@ def test_barrier_completes_only_after_all_contribute():
 
     class Straggler(Chare):
         def go(self, cb):
-            if self.index1d == 3:
+            if self.thisIndex[0] == 3:
                 self.charge(5e-3)  # long compute before contributing
             self.contribute(callback=cb)
 
@@ -131,7 +131,7 @@ def test_barrier_with_value_raises():
 def test_mixed_reducers_in_one_epoch_raise():
     class Mixed(Chare):
         def go(self, cb):
-            reducer = "sum" if self.index1d % 2 == 0 else "max"
+            reducer = "sum" if self.thisIndex[0] % 2 == 0 else "max"
             self.contribute(1.0, reducer, cb)
 
     rt = Runtime(ABE, n_pes=1)

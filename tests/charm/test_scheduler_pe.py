@@ -30,7 +30,7 @@ def test_scheduler_queue_stats():
     assert q.dequeues == 2
     # occupancy recorded at pop time (before removing): 4 then 3
     assert q.occupancy_sum == 7
-    assert q.mean_occupancy == pytest.approx(3.5)
+    assert q.occupancy_sum / q.dequeues == pytest.approx(3.5)
 
 
 class Worker(Chare):

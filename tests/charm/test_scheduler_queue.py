@@ -24,7 +24,7 @@ class TestSchedulerQueueStats:
         q = SchedulerQueue()
         assert len(q) == 0
         assert not q
-        assert q.mean_occupancy == 0.0
+        assert q.occupancy_sum == 0
         assert q.max_occupancy == 0
         assert q.enqueued == 0
         assert q.dequeues == 0
@@ -54,7 +54,7 @@ class TestSchedulerQueueStats:
         # depths observed at the three pops: 3, 2, 1
         for _ in range(3):
             q.pop()
-        assert q.mean_occupancy == pytest.approx(2.0)
+        assert q.occupancy_sum / q.dequeues == pytest.approx(2.0)
         assert q.occupancy_sum == 6
         assert q.dequeues == 3
 
@@ -67,7 +67,7 @@ class TestSchedulerQueueStats:
         q.pop()           # depth 2
         q.pop()           # depth 1
         assert q.enqueued == 3
-        assert q.mean_occupancy == pytest.approx((1 + 2 + 1) / 3)
+        assert q.occupancy_sum / q.dequeues == pytest.approx((1 + 2 + 1) / 3)
         assert q.max_occupancy == 2
 
     def test_pop_empty_raises(self):

@@ -16,7 +16,7 @@ class Member(Chare):
         self.pings += 1
 
     def contrib(self, section, cb):
-        self.contribute(float(self.index1d), "sum", cb, section=section)
+        self.contribute(float(self.thisIndex[0]), "sum", cb, section=section)
 
     def contrib_array(self, cb):
         self.contribute(1.0, "sum", cb)
@@ -75,7 +75,7 @@ def test_section_reduction():
 def test_section_barrier_waits_for_all_members():
     class Slow(Chare):
         def go(self, section, cb):
-            if self.index1d == 6:
+            if self.thisIndex[0] == 6:
                 self.charge(3e-3)
             self.contribute(callback=cb, section=section)
 

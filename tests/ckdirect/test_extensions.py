@@ -1,198 +1,13 @@
-"""Unit tests for the §6 future-work extensions: multicast channels,
-strided puts, accumulating channels."""
+"""Unit tests for the §6 accumulating-channel extension."""
 
 import numpy as np
 import pytest
 
-from repro import ABE, Buffer, Chare, Runtime
+from repro import ABE, Runtime
 from repro import ckdirect as ckd
-from repro.charm import CustomMap
-from repro.ckdirect.ext import (
-    ACCUMULATE_OPS,
-    AccumulateHandle,
-    MulticastChannel,
-    StridedChannel,
-    create_accumulate_handle,
-    create_strided_channel,
-    segment_count,
-)
+from repro.ckdirect.ext import ACCUMULATE_OPS, create_accumulate_handle
 
 from tests.ckdirect.channel_helpers import CROSS, Endpoint
-
-
-# ---------------------------------------------------------------------------
-# segment_count (pure layout math)
-# ---------------------------------------------------------------------------
-
-
-def test_segment_count_contiguous():
-    assert segment_count(np.zeros(10)) == 1
-    assert segment_count(np.zeros((4, 5))) == 1
-    assert segment_count(np.zeros((2, 3, 4))) == 1
-
-
-def test_segment_count_column():
-    m = np.zeros((6, 4))
-    assert segment_count(m[:, 0]) == 6
-
-
-def test_segment_count_inner_plane():
-    c = np.zeros((4, 5, 6))
-    assert segment_count(c[:, :, 0]) == 20  # every element isolated
-    assert segment_count(c[0, :, :]) == 1  # contiguous plane
-    assert segment_count(c[:, 0, :]) == 4  # one run per x
-
-
-def test_segment_count_squeezes_unit_dims():
-    c = np.zeros((4, 1, 6))
-    assert segment_count(c[:, 0, :]) == 1
-
-
-def test_segment_count_empty_and_scalar():
-    assert segment_count(np.zeros(())) == 1
-    assert segment_count(np.zeros(0)) == 1
-
-
-# ---------------------------------------------------------------------------
-# Multicast
-# ---------------------------------------------------------------------------
-
-
-def test_multicast_fans_out_one_buffer():
-    rt = Runtime(ABE, n_pes=4 * ABE.cores_per_node)
-    arr = rt.create_array(
-        Endpoint, dims=(4,),
-        mapping=CustomMap(lambda idx, dims, n: idx[0] * ABE.cores_per_node),
-    )
-    sender = arr.element(0)
-
-    class Caster(Chare):
-        pass
-
-    mcast = MulticastChannel(sender, sender.send_buf)
-    for i in (1, 2, 3):
-        mcast.attach(arr.element(i).make_handle())
-    assert mcast.fanout == 3
-
-    class Putter(Endpoint):
-        pass
-
-    # drive put_all from the sender's context
-    sender.__class__ = type("Ep2", (Endpoint,), {
-        "cast": lambda self: mcast.put_all()
-    })
-    arr.proxy[0].cast()
-    rt.run()
-    for i in (1, 2, 3):
-        assert np.array_equal(arr.element(i).recv_arr, sender.send_arr)
-
-
-def test_multicast_requires_receivers():
-    rt = Runtime(ABE, n_pes=2)
-    arr = rt.create_array(Endpoint, dims=(1,))
-    mcast = MulticastChannel(arr.element(0), arr.element(0).send_buf)
-
-    class _E(Endpoint):
-        def cast(self):
-            mcast.put_all()
-
-    arr.element(0).__class__ = _E
-    arr.proxy[0].cast()
-    with pytest.raises(ckd.CkDirectError, match="no receivers"):
-        rt.run()
-
-
-def test_multicast_issue_discount():
-    """put_all must cost less sender time than independent puts."""
-    from repro.ckdirect.ext.multicast import REPEAT_ISSUE_FACTOR
-
-    assert 0.0 < REPEAT_ISSUE_FACTOR < 1.0
-
-
-# ---------------------------------------------------------------------------
-# Strided
-# ---------------------------------------------------------------------------
-
-
-def test_strided_put_lands_in_column():
-    rt = Runtime(ABE, n_pes=2 * ABE.cores_per_node)
-
-    class ColRecv(Endpoint):
-        def __init__(self):
-            super().__init__()
-            self.matrix = np.zeros((8, 3))
-            self.chan = None
-
-        def make_strided(self):
-            self.chan = create_strided_channel(
-                self, Buffer(array=self.matrix[:, 2]), -1.0, self.on_data
-            )
-            return self.chan
-
-    arr = rt.create_array(ColRecv, dims=(2,), mapping=CROSS)
-    recv, send = arr.element(0), arr.element(1)
-    chan = recv.make_strided()
-    assert chan.segments == 8
-    ckd.assoc_local(send, chan.handle, send.send_buf)
-
-    class _S(ColRecv):
-        def sput(self):
-            chan.put()
-
-    send.__class__ = _S
-    arr.proxy[1].sput()
-    rt.run()
-    assert np.array_equal(recv.matrix[:, 2], send.send_arr)
-    assert rt.trace.counter("ckdirect.strided_puts") == 1
-    assert rt.trace.counter("ckdirect.strided_segments") == 8
-
-
-def test_strided_costs_more_per_segment():
-    """More segments = more descriptor posts = more sender time."""
-    from repro.ckdirect.ext.strided import PER_SEGMENT_OVERHEAD
-
-    def completion_time(segments):
-        rt = Runtime(ABE, n_pes=2 * ABE.cores_per_node)
-        arr = rt.create_array(Endpoint, dims=(2,), mapping=CROSS)
-        recv, send = arr.element(0), arr.element(1)
-        handle = recv.make_handle()
-        chan = StridedChannel(handle, segments)
-        ckd.assoc_local(send, handle, send.send_buf)
-
-        class _S(Endpoint):
-            def sput(self):
-                chan.put()
-
-        send.__class__ = _S
-        arr.proxy[1].sput()
-        rt.run()
-        return recv.fired[0][0]
-
-    t1 = completion_time(1)
-    t9 = completion_time(9)
-    assert t9 - t1 == pytest.approx(8 * PER_SEGMENT_OVERHEAD)
-
-
-def test_strided_virtual_needs_explicit_segments():
-    rt = Runtime(ABE, n_pes=2)
-    arr = rt.create_array(Endpoint, dims=(1,))
-    with pytest.raises(ckd.CkDirectError, match="explicit segments"):
-        create_strided_channel(
-            arr.element(0), Buffer(nbytes=64), -1.0, lambda _: None
-        )
-
-
-def test_strided_rejects_bad_segments():
-    rt = Runtime(ABE, n_pes=2)
-    arr = rt.create_array(Endpoint, dims=(1,))
-    h = arr.element(0).make_handle()
-    with pytest.raises(ckd.CkDirectError):
-        StridedChannel(h, 0)
-
-
-# ---------------------------------------------------------------------------
-# Accumulate
-# ---------------------------------------------------------------------------
 
 
 def _acc_setup(op="sum", initial=None):

@@ -23,7 +23,7 @@ def test_draws_are_a_pure_function_of_the_seed():
 
 def test_reseeding_changes_the_fault_sequence():
     a = FaultInjector(_torn_plan(seed=7), Simulator())
-    b = FaultInjector(_torn_plan(seed=7).with_seed(8), Simulator())
+    b = FaultInjector(_torn_plan(seed=8), Simulator())
     assert [a.draw_torn() for _ in range(256)] != \
            [b.draw_torn() for _ in range(256)]
 

@@ -72,14 +72,6 @@ def test_builtin_profiles_spare_the_control_plane():
             assert scope in ("put", "ack"), (name, scope)
 
 
-def test_with_seed():
-    plan = FaultPlan.named("drop", seed=1)
-    reseeded = plan.with_seed(2)
-    assert reseeded.seed == 2
-    assert reseeded.rules == plan.rules
-    assert plan.seed == 1  # frozen original untouched
-
-
 # ---------------------------------------------------------------------------
 # parse_profiles
 # ---------------------------------------------------------------------------

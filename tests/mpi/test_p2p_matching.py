@@ -17,17 +17,17 @@ def test_posted_recv_matches_arrival():
     assert m.post(r) is None
     got = m.arrive(_arr(src=1, tag=5))
     assert got is r
-    assert m.pending_recvs == 0
+    assert len(m.posted) == 0
 
 
 def test_unexpected_then_post():
     m = Matcher()
     a = _arr(src=2, tag=9)
     assert m.arrive(a) is None
-    assert m.pending_unexpected == 1
+    assert len(m.unexpected) == 1
     got = m.post(_recv(src=2, tag=9))
     assert got is a
-    assert m.pending_unexpected == 0
+    assert len(m.unexpected) == 0
 
 
 def test_wildcard_source():
@@ -46,8 +46,8 @@ def test_mismatched_tag_does_not_match():
     m = Matcher()
     m.post(_recv(src=1, tag=5))
     assert m.arrive(_arr(src=1, tag=6)) is None
-    assert m.pending_recvs == 1
-    assert m.pending_unexpected == 1
+    assert len(m.posted) == 1
+    assert len(m.unexpected) == 1
 
 
 def test_posted_order_fifo():
@@ -75,7 +75,7 @@ def test_specific_recv_skips_nonmatching_unexpected():
     m.arrive(a_wrong)
     m.arrive(a_right)
     assert m.post(_recv(src=2, tag=1)) is a_right
-    assert m.pending_unexpected == 1
+    assert len(m.unexpected) == 1
 
 
 def test_rendezvous_arrival_flag():

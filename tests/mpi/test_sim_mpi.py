@@ -16,9 +16,8 @@ def test_world_construction_validates():
 def test_spread_placement_cross_node():
     """Every world puts one rank on each node."""
     world = MPIWorld(ABE, 2)
-    assert not world.fabric.topology.same_node(
-        world.ranks[0].pe, world.ranks[1].pe
-    )
+    topo = world.fabric.topology
+    assert topo.node_of(world.ranks[0].pe) != topo.node_of(world.ranks[1].pe)
     assert [r.pe for r in world.ranks] == [0, ABE.cores_per_node]
 
 

@@ -108,7 +108,7 @@ def test_bgp_hop_latency_counts():
     # pick two PEs several hops apart
     far = None
     for pe in range(topo.n_pes):
-        if topo.hops(0, pe) >= 2:
+        if topo.node_hops(topo.node_of(0), topo.node_of(pe)) >= 2:
             far = pe
             break
     assert far is not None
@@ -116,7 +116,7 @@ def test_bgp_hop_latency_counts():
     fab.transfer(0, far, 100, 0.0, 0.0, p.alpha, p.beta,
                  cb=lambda: got.append(sim.now))
     sim.run()
-    hops = topo.hops(0, far)
+    hops = topo.node_hops(topo.node_of(0), topo.node_of(far))
     expected = p.alpha + hops * p.hop_latency + 100 * p.beta
     assert got[0] == pytest.approx(expected)
 

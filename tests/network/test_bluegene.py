@@ -15,7 +15,7 @@ def _fab(n_pes=64):
 def _cross_node_pair(fab):
     topo = fab.topology
     for pe in range(topo.n_pes):
-        if not topo.same_node(0, pe):
+        if topo.node_of(pe) != topo.node_of(0):
             return 0, pe
     raise AssertionError("no cross-node pair")
 
@@ -85,7 +85,7 @@ def test_hop_latency_increases_with_distance():
     topo = fab.topology
     near = far = None
     for pe in range(topo.n_pes):
-        h = topo.hops(0, pe)
+        h = topo.node_hops(topo.node_of(0), topo.node_of(pe))
         if h == 1 and near is None:
             near = pe
         if h >= 3 and far is None:
@@ -102,7 +102,8 @@ def test_hop_latency_increases_with_distance():
 
     p = SURVEYOR.net
     d = delivery(far) - delivery(near)
-    assert d == pytest.approx((topo.hops(0, far) - 1) * p.hop_latency)
+    far_hops = topo.node_hops(topo.node_of(0), topo.node_of(far))
+    assert d == pytest.approx((far_hops - 1) * p.hop_latency)
 
 
 def test_no_protocol_crossover_on_bgp():

@@ -55,12 +55,6 @@ def test_mpi_flavors_present():
     assert ABE.default_mpi == "MVAPICH"
 
 
-def test_with_overrides():
-    faster = ABE.with_overrides(cores_per_node=2)
-    assert faster.cores_per_node == 2
-    assert ABE.cores_per_node == 8  # original untouched
-
-
 def test_params_frozen():
     with pytest.raises(Exception):
         ABE.charm.header_bytes = 100

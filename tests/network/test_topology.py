@@ -1,16 +1,20 @@
-"""Unit tests for topologies: fat-tree, 3D torus, graph-backed."""
+"""Unit tests for topologies: fat-tree and 3D torus."""
 
-import networkx as nx
+from collections import deque
+
 import pytest
 
 from repro.network.topology import (
     FatTree,
-    GraphTopology,
     Topology,
     TopologyError,
     Torus3D,
-    pes_on_node,
 )
+
+
+def _hops(t, a, b):
+    """Hops between the nodes hosting PEs ``a`` and ``b``."""
+    return t.node_hops(t.node_of(a), t.node_of(b))
 
 
 def test_fat_tree_counts():
@@ -24,10 +28,10 @@ def test_fat_tree_counts():
 
 def test_fat_tree_hops():
     t = FatTree(4, 8)
-    assert t.hops(0, 7) == 0  # same node
-    assert t.hops(0, 8) == 1  # remote
-    assert t.same_node(0, 7)
-    assert not t.same_node(7, 8)
+    assert _hops(t, 0, 7) == 0  # same node
+    assert _hops(t, 0, 8) == 1  # remote
+    assert t.node_of(0) == t.node_of(7)
+    assert t.node_of(7) != t.node_of(8)
 
 
 def test_pe_out_of_range():
@@ -36,18 +40,6 @@ def test_pe_out_of_range():
         t.node_of(8)
     with pytest.raises(TopologyError):
         t.node_of(-1)
-
-
-def test_same_node_range_checks_each_pe():
-    t = FatTree(2, 4)
-    assert t.same_node(4, 7)
-    assert not t.same_node(3, 4)
-    with pytest.raises(TopologyError, match="PE 8 "):
-        t.same_node(0, 8)
-    with pytest.raises(TopologyError, match="PE -1 "):
-        t.same_node(-1, 0)
-    with pytest.raises(TopologyError, match="PE 9 "):
-        t.same_node(9, 8)
 
 
 def test_invalid_construction():
@@ -69,26 +61,43 @@ def test_torus_coords_roundtrip():
 
 def test_torus_hops_basic():
     t = Torus3D((4, 4, 4), cores_per_node=1)
-    assert t.hops(0, 0) == 0
-    assert t.hops(0, 1) == 1  # +x neighbour
-    assert t.hops(0, 3) == 1  # wraparound in x (distance min(3, 1))
-    assert t.hops(0, 2) == 2
+    assert _hops(t, 0, 0) == 0
+    assert _hops(t, 0, 1) == 1  # +x neighbour
+    assert _hops(t, 0, 3) == 1  # wraparound in x (distance min(3, 1))
+    assert _hops(t, 0, 2) == 2
 
 
 def test_torus_hops_symmetric():
     t = Torus3D((4, 3, 5), cores_per_node=2)
     for a, b in [(0, 17), (3, 29), (10, 41)]:
-        assert t.hops(a, b) == t.hops(b, a)
+        assert _hops(t, a, b) == _hops(t, b, a)
 
 
 def test_torus_hops_match_graph_shortest_paths():
-    """Closed-form torus distance must equal BFS on the explicit graph."""
+    """Closed-form torus distance must equal breadth-first search over
+    the explicit wraparound six-neighbour adjacency, from every node."""
     dims = (4, 3, 3)
+    X, Y, Z = dims
     closed = Torus3D(dims, cores_per_node=1)
-    graph = GraphTopology.torus(dims, cores_per_node=1)
-    for a in range(0, closed.n_nodes, 5):
+    steps = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+
+    def neighbours(node):
+        x, y, z = node % X, (node // X) % Y, node // (X * Y)
+        for dx, dy, dz in steps:
+            yield (x + dx) % X + X * ((y + dy) % Y + Y * ((z + dz) % Z))
+
+    for a in range(closed.n_nodes):
+        dist = {a: 0}
+        frontier = deque([a])
+        while frontier:
+            node = frontier.popleft()
+            for nb in neighbours(node):
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    frontier.append(nb)
+        assert len(dist) == closed.n_nodes
         for b in range(closed.n_nodes):
-            assert closed.hops(a, b) == graph.hops(a, b), (a, b)
+            assert closed.node_hops(a, b) == dist[b], (a, b)
 
 
 def test_torus_hops_repeat_with_cores_per_node():
@@ -102,7 +111,7 @@ def test_torus_hops_repeat_with_cores_per_node():
                 ca, cb = t.coords(a // 2), t.coords(b // 2)
                 want = sum(min(abs(x - y), d - abs(x - y))
                            for x, y, d in zip(ca, cb, dims))
-                assert t.hops(a, b) == want, (a, b)
+                assert _hops(t, a, b) == want, (a, b)
 
 
 def test_torus_for_pes_capacity():
@@ -113,36 +122,12 @@ def test_torus_for_pes_capacity():
 
 def test_torus_same_node_within_cores():
     t = Torus3D((2, 2, 2), cores_per_node=4)
-    assert t.same_node(0, 3)
-    assert not t.same_node(3, 4)
-    assert t.hops(0, 3) == 0
-
-
-def test_graph_topology_requires_connected():
-    g = nx.Graph()
-    g.add_edges_from([(0, 1), (2, 3)])
-    with pytest.raises(TopologyError):
-        GraphTopology(g)
-
-
-def test_graph_topology_rejects_empty():
-    with pytest.raises(TopologyError):
-        GraphTopology(nx.Graph())
-
-
-def test_graph_topology_hops_on_path():
-    g = nx.path_graph(5)
-    t = GraphTopology(g, cores_per_node=2)
-    assert t.hops(0, 9) == 4  # node 0 -> node 4
-    assert t.hops(0, 1) == 0  # same node
-
-
-def test_pes_on_node():
-    t = FatTree(3, 4)
-    assert list(pes_on_node(t, 1)) == [4, 5, 6, 7]
+    assert t.node_of(0) == t.node_of(3)
+    assert t.node_of(3) != t.node_of(4)
+    assert _hops(t, 0, 3) == 0
 
 
 def test_base_topology_abstract():
     t = Topology(2, 2)
     with pytest.raises(NotImplementedError):
-        t.hops(0, 2)
+        t.node_hops(0, 1)

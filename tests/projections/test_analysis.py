@@ -3,7 +3,6 @@
 import pytest
 
 from repro.projections.analysis import (
-    binned_profile,
     category_totals,
     critical_path,
     critical_path_summary,
@@ -62,22 +61,6 @@ def test_category_and_name_totals():
     # qualified names aggregate under the prefix key
     assert names["send"]["events"] == 1
     assert names["dispatch"]["events"] == 1
-
-
-def test_binned_profile_conserves_time():
-    log = _sample_log()
-    edges, hist = binned_profile(log, nbins=8)
-    assert len(edges) == 9
-    cats = category_totals(log)
-    for cat, bins in hist.items():
-        assert sum(bins) == pytest.approx(cats[cat]["time"])
-    with pytest.raises(ValueError):
-        binned_profile(log, nbins=0)
-
-
-def test_binned_profile_empty_log():
-    edges, hist = binned_profile(EventLog(), nbins=4)
-    assert hist == {}
 
 
 def test_critical_path_walks_causes():

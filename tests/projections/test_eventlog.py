@@ -80,19 +80,6 @@ def test_new_run_sequential_and_recorded():
     assert log.runs[1][2] == 0
 
 
-def test_select_filters():
-    log = EventLog()
-    log.span(0, 0, CAT_ENTRY, "go", 0.0, 1.0)
-    log.span(0, 1, CAT_ENTRY, "go", 0.0, 1.0)
-    log.span(1, 0, CAT_ENTRY, "other", 0.0, 1.0)
-    log.instant(0, 0, CAT_MSG, "send:go", 0.5)
-    assert len(list(log.select(run=0))) == 3
-    assert len(list(log.select(pe=0))) == 3
-    assert len(list(log.select(category=CAT_MSG))) == 1
-    assert len(list(log.select(name_key="send"))) == 1
-    assert len(list(log.select(run=0, pe=0, spans_only=True))) == 1
-
-
 def test_by_eid_and_clear():
     log = EventLog()
     log.new_run("r")

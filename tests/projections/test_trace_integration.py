@@ -23,6 +23,12 @@ def _trace(fn, machine, nbytes=2000, iterations=10) -> EventLog:
     return log
 
 
+def _named(log: EventLog, name_key: str, category=None) -> list:
+    """Events of ``log`` with ``name_key`` (and ``category``, if given)."""
+    return [ev for ev in log.events if ev.name_key == name_key
+            and (category is None or ev.category == category)]
+
+
 def _assert_flat_tracks(log: EventLog) -> None:
     for (run, pe), spans in spans_by_track(log).items():
         for a, b in zip(spans, spans[1:]):
@@ -38,7 +44,7 @@ def test_ckdirect_infiniband_timeline():
     assert {"put", "put_complete", "poll_sweep", "poll_callback"} <= names
     # every poll_callback is caused by the put_complete of its channel
     index = log.by_eid()
-    callbacks = list(log.select(name_key="poll_callback"))
+    callbacks = _named(log, "poll_callback")
     assert callbacks
     for cb in callbacks:
         assert cb.cause is not None
@@ -48,7 +54,7 @@ def test_ckdirect_infiniband_timeline():
 def test_ckdirect_put_chain_reaches_issuer():
     log = _trace(ckdirect_pingpong, ABE)
     index = log.by_eid()
-    complete = next(log.select(name_key="put_complete"))
+    complete = _named(log, "put_complete")[0]
     put = index[complete.cause]
     assert put.name_key == "put"
     # the put was issued inside a traced handler on the sending PE
@@ -62,7 +68,7 @@ def test_ckdirect_bgp_uses_direct_callbacks():
     assert "direct_callback" in names
     assert "poll_callback" not in names  # BG/P bypasses the polling queue
     index = log.by_eid()
-    for cb in log.select(name_key="direct_callback"):
+    for cb in _named(log, "direct_callback"):
         assert index[cb.cause].name_key == "put_complete"
 
 
@@ -71,7 +77,7 @@ def test_charm_message_chain():
     _assert_flat_tracks(log)
     index = log.by_eid()
     # send -> enqueue -> dispatch -> entry, each a causal hop
-    entry = next(log.select(category="entry", name_key="pong"))
+    entry = _named(log, "pong", category="entry")[0]
     dispatch = index[entry.cause]
     assert dispatch.name_key == "dispatch"
     enqueue = index[dispatch.cause]
@@ -84,7 +90,7 @@ def test_mpi_recv_caused_by_send():
     log = _trace(mpi_pingpong, ABE)
     _assert_flat_tracks(log)
     index = log.by_eid()
-    recvs = list(log.select(name_key="mpi_recv"))
+    recvs = _named(log, "mpi_recv")
     assert recvs
     for recv in recvs:
         assert index[recv.cause].name_key == "mpi_send"
@@ -132,7 +138,7 @@ def test_timeline_counts_match_trace_counters():
         ckdirect_pingpong(ABE, 2000, iterations=10)
     rt = log.runs[0][1]  # the registered owner is the Runtime
     tr = rt.trace
-    n_puts = sum(1 for _ in log.select(name_key="put"))
-    n_sweeps = sum(1 for _ in log.select(name_key="poll_sweep"))
+    n_puts = len(_named(log, "put"))
+    n_sweeps = len(_named(log, "poll_sweep"))
     assert n_puts == tr.counter("ckdirect.puts")
     assert n_sweeps == tr.counter("pe.poll_sweeps")

@@ -10,10 +10,10 @@ from repro.charm import CustomMap
 
 class Summer(Chare):
     def go(self, cb):
-        self.contribute(float(self.index1d), "sum", cb)
+        self.contribute(float(self.thisIndex[0]), "sum", cb)
 
     def go_min(self, cb):
-        self.contribute(float(self.index1d), "min", cb)
+        self.contribute(float(self.thisIndex[0]), "min", cb)
 
 
 @given(

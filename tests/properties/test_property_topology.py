@@ -1,12 +1,12 @@
-"""Property-based tests: torus distance is a metric; mappings are
-total and in-range; segment counting matches a brute-force scan."""
+"""Property-based tests: torus distance is a metric; the block
+mapping is total, in-range and balanced."""
 
-import numpy as np
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.charm.mapping import BlockMap, RoundRobinMap
-from repro.ckdirect.ext.strided import segment_count
+from repro.charm.mapping import BlockMap
 from repro.network.topology import Torus3D
 
 dims_st = st.tuples(
@@ -25,11 +25,12 @@ def test_torus_distance_is_a_metric(dims, data):
     b = data.draw(st.integers(min_value=0, max_value=n - 1))
     c = data.draw(st.integers(min_value=0, max_value=n - 1))
     # identity, symmetry, triangle inequality
-    assert t.hops(a, a) == 0
-    assert t.hops(a, b) == t.hops(b, a)
-    assert t.hops(a, c) <= t.hops(a, b) + t.hops(b, c)
+    hops = t.node_hops
+    assert hops(a, a) == 0
+    assert hops(a, b) == hops(b, a)
+    assert hops(a, c) <= hops(a, b) + hops(b, c)
     # diameter bound: sum of floor(dim/2)
-    assert t.hops(a, b) <= sum(d // 2 for d in dims)
+    assert hops(a, b) <= sum(d // 2 for d in dims)
 
 
 @given(
@@ -38,40 +39,10 @@ def test_torus_distance_is_a_metric(dims, data):
 )
 @settings(max_examples=60, deadline=None)
 def test_mappings_total_and_balanced(n_elems, n_pes):
-    for mapping in (BlockMap(), RoundRobinMap()):
-        pes = [mapping.pe_for((i,), (n_elems,), n_pes) for i in range(n_elems)]
-        assert all(0 <= p < n_pes for p in pes)
-        from collections import Counter
-
-        counts = Counter(pes)
-        # a fair partition: per-PE loads differ by at most one
-        if n_elems >= n_pes:
-            assert max(counts.values()) - min(counts.values()) <= 1
-
-
-@given(
-    st.tuples(st.integers(min_value=1, max_value=5),
-              st.integers(min_value=1, max_value=5),
-              st.integers(min_value=1, max_value=5)),
-    st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_segment_count_matches_address_scan(shape, data):
-    base = np.zeros(shape)
-    axis = data.draw(st.integers(min_value=0, max_value=2))
-    sl = [slice(None)] * 3
-    sl[axis] = 0
-    view = base[tuple(sl)]
-
-    # brute force: walk elements in C order of the view, counting
-    # address discontinuities
-    itemsize = view.itemsize
-    flat_addrs = []
-    for idx in np.ndindex(view.shape):
-        offset = sum(i * s for i, s in zip(idx, view.strides))
-        flat_addrs.append(offset)
-    runs = 1
-    for a, b in zip(flat_addrs, flat_addrs[1:]):
-        if b - a != itemsize:
-            runs += 1
-    assert segment_count(view) == runs
+    mapping = BlockMap()
+    pes = [mapping.pe_for((i,), (n_elems,), n_pes) for i in range(n_elems)]
+    assert all(0 <= p < n_pes for p in pes)
+    counts = Counter(pes)
+    # a fair partition: per-PE loads differ by at most one
+    if n_elems >= n_pes:
+        assert max(counts.values()) - min(counts.values()) <= 1

@@ -19,12 +19,7 @@ from repro import Chare, Runtime
 from repro import ckdirect as ckd
 from repro.charm import CustomMap
 from repro.network.params import ABE, SURVEYOR
-from repro.network.topology import (
-    FatTree,
-    TopologyError,
-    shard_nodes,
-    shard_of_node,
-)
+from repro.network.topology import FatTree, TopologyError, shard_nodes
 from repro.sim.parallel import (
     ParallelEngineError,
     _encode_args,
@@ -54,15 +49,6 @@ def test_shard_nodes_partitions_contiguously(n_nodes, n_shards):
     # remainder goes to the leading shards: sizes are non-increasing
     sizes = [len(b) for b in blocks]
     assert sizes == sorted(sizes, reverse=True)
-
-
-def test_shard_of_node_matches_shard_nodes():
-    topo = FatTree(10, 4)
-    for n_shards in (1, 2, 3, 4, 7, 10):
-        blocks = shard_nodes(topo, n_shards)
-        for s, blk in enumerate(blocks):
-            for node in blk:
-                assert shard_of_node(topo, node, n_shards) == s
 
 
 def test_shard_nodes_rejects_bad_counts():

@@ -18,7 +18,6 @@ from repro.sweep import (
     SweepRunner,
     execute_spec,
     register_point,
-    run_sweep,
     stats,
 )
 
@@ -121,11 +120,6 @@ class TestOrderingAndEquality:
         parallel = SweepRunner(jobs=3).run(specs)
         assert [r.values for r in serial] == [r.values for r in parallel]
         assert [r.events for r in serial] == [r.events for r in parallel]
-
-    def test_run_values_keys_by_spec(self):
-        specs = _specs("t-echo", 3)
-        values = run_sweep(specs, jobs=2)
-        assert values[specs[1].key] == {"x": 1}
 
 
 class TestIsolation:

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.util.stats import (
-    geometric_mean,
-    monotone_increasing,
-    percent_improvement,
-    speedup,
-    within_factor,
-)
+from repro.util.stats import monotone_increasing, percent_improvement
 
 
 def test_percent_improvement():
@@ -18,34 +12,9 @@ def test_percent_improvement():
         percent_improvement(0.0, 1.0)
 
 
-def test_speedup():
-    assert speedup(10.0, 5.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        speedup(1.0, 0.0)
-
-
-def test_geometric_mean():
-    assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-    assert geometric_mean([3.0]) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        geometric_mean([])
-    with pytest.raises(ValueError):
-        geometric_mean([1.0, -1.0])
-
-
 def test_monotone_increasing():
     assert monotone_increasing([1, 2, 3])
     assert not monotone_increasing([1, 3, 2])
     assert monotone_increasing([1, 3, 2.5], slack=0.6)
     assert monotone_increasing([])
     assert monotone_increasing([5])
-
-
-def test_within_factor():
-    assert within_factor(10.0, 10.0, 1.5)
-    assert within_factor(14.0, 10.0, 1.5)
-    assert within_factor(7.0, 10.0, 1.5)
-    assert not within_factor(16.0, 10.0, 1.5)
-    assert not within_factor(6.0, 10.0, 1.5)
-    with pytest.raises(ValueError):
-        within_factor(-1.0, 1.0, 2.0)
