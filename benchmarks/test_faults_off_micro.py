@@ -48,7 +48,8 @@ def _legacy_put(handle):
         raise CkDirectError(f"{handle.name}: put outside a chare context")
     if pe is not handle.src_pe:
         raise CkDirectError(f"{handle.name}: put from the wrong PE")
-    legal = ckapi._PUTTABLE_BGP if ckapi._is_bgp(rt) else ckapi._PUTTABLE_IB
+    legal = (ckapi._PUTTABLE_BGP if rt.machine.kind == "bgp"
+             else ckapi._PUTTABLE_IB)
     if handle.state not in legal:
         raise ChannelStateError(f"{handle.name}: put while {handle.state}")
     if handle.state is ChannelState.CONSUMED:

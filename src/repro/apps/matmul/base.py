@@ -22,14 +22,14 @@ skips the scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from ...charm import Chare
 from ...util.buffers import Buffer
 from ..stencil.base import IterationMonitor  # same barrier/timing discipline
-from .decomp3d import ITEMSIZE, MatMulSpec, slice_a, slice_b
+from .decomp3d import MatMulSpec, slice_a, slice_b
 
 #: Input data is uniform(0, 1); partial C entries are positive sums.
 MATMUL_OOB = -1.0

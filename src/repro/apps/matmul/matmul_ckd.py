@@ -16,8 +16,6 @@ scheduler, no placement copies.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 from ... import ckdirect as ckd
 from .base import MATMUL_OOB, MatMulBase
 

@@ -28,7 +28,7 @@ of the timestep the paper's Figures 4–5 imply.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 #: complex double precision — the paper's state representation
 POINT_BYTES = 16

@@ -15,11 +15,11 @@ from typing import List, Optional
 import numpy as np
 
 from ...charm import CkCallback, Runtime
+from ...charm.runtime import collector_off
 from ...config import current
 from ...faults import FaultPlan
 from ...network.params import MachineParams
 from .config import OpenAtomConfig
-from .gspace import GSpaceBase
 from .paircalc import Ortho
 from .variants import (
     GSpaceCkd,
@@ -141,7 +141,12 @@ def run_openatom(
 
     pc.proxy.bcast("setup")
     gs.proxy.bcast("setup")
-    rt.run()
+    # Off until close() has freed the run: a collection in between
+    # would walk everything the run allocated.
+    with collector_off():
+        rt.run()
+        if not keep_runtime:
+            rt.close()
     if monitor.barriers_seen != cfg.iterations + 1:
         raise RuntimeError(
             f"openatom deadlocked: saw {monitor.barriers_seen} barriers, "
@@ -156,8 +161,6 @@ def run_openatom(
         runtime=rt if keep_runtime else None,
         events=rt.events_processed,
     )
-    if not keep_runtime:
-        rt.close()
     return result
 
 

@@ -20,14 +20,12 @@ Per timestep a ``GS(s, p)`` chare:
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from ...charm import Chare, Payload
 from ...sim.rng import substream
 from ...util.buffers import Buffer
-from .config import OPENATOM_OOB, POINT_BYTES, OpenAtomConfig
+from .config import OpenAtomConfig
 
 
 class GSpaceBase(Chare):

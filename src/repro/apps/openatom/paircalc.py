@@ -27,13 +27,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 import numpy as np
 
 from ...charm import Chare, CkCallback, Payload
 from ...util.buffers import Buffer
-from .config import OPENATOM_OOB, POINT_BYTES, OpenAtomConfig
+from .config import OpenAtomConfig
 
 
 class PairCalcBase(Chare):

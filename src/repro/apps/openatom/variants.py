@@ -19,7 +19,7 @@ import numpy as np
 
 from ...charm import Payload
 from ... import ckdirect as ckd
-from .config import OPENATOM_OOB, OpenAtomConfig
+from .config import OPENATOM_OOB
 from .gspace import GSpaceBase
 from .paircalc import PairCalcBase
 

@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from ..charm import Chare, CkCallback, CustomMap, Payload, Runtime
+from ..charm.runtime import collector_off
 from ..mpi import MPIWorld, Win
 from ..network.params import MachineParams
 from ..util.buffers import Buffer
@@ -97,8 +98,9 @@ def charm_pingpong(
         _MsgPinger, dims=(2,), ctor_args=(iterations, nbytes), mapping=CROSS_NODE
     )
     arr.proxy[0].start()
-    rt.run()
-    rt.close()
+    with collector_off():  # until close() has freed the run
+        rt.run()
+        rt.close()
     return PingpongResult("charm", machine.name, nbytes, iterations, rt.result_time,
                           events=rt.sim.events_processed)
 
@@ -190,8 +192,9 @@ def ckdirect_pingpong(
         mapping=CROSS_NODE,
     )
     arr.proxy.bcast("setup")
-    rt.run()
-    rt.close()
+    with collector_off():  # until close() has freed the run
+        rt.run()
+        rt.close()
     return PingpongResult("ckdirect", machine.name, nbytes, iterations, rt.result_time,
                           events=rt.sim.events_processed)
 

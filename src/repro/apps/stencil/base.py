@@ -24,7 +24,7 @@ import numpy as np
 from ...charm import Chare, CkCallback
 from ...sim.rng import substream
 from ...util.buffers import Buffer
-from .decomp import DIRECTIONS, BlockSpec, opposite
+from .decomp import BlockSpec
 from .reference import block_update
 
 ITEMSIZE = 8  # float64, as in the paper's double-precision domain

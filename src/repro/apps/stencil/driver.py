@@ -14,6 +14,7 @@ from typing import List, Optional, Tuple, Type
 import numpy as np
 
 from ...charm import Runtime
+from ...charm.runtime import collector_off
 from ...config import current
 from ...faults import FaultPlan, ProcFaultPlan
 from ...network.params import MachineParams
@@ -98,7 +99,12 @@ def run_stencil(
     )
     monitor.proxy = arr.proxy
     arr.proxy.bcast("setup")
-    rt.run()
+    # Off until close() has freed the run: a collection in between
+    # would walk everything the run allocated.
+    with collector_off():
+        rt.run()
+        if not keep_runtime:
+            rt.close()
     if monitor.barriers_seen != iterations + 1:
         raise RuntimeError(
             f"stencil deadlocked: saw {monitor.barriers_seen} barriers, "
@@ -116,8 +122,6 @@ def run_stencil(
         runtime=rt if keep_runtime else None,
         events=rt.events_processed,
     )
-    if not keep_runtime:
-        rt.close()
     return result
 
 

@@ -320,6 +320,7 @@ def run_protocol_ablation(
     the crossover structure: packetization's per-byte overhead loses to
     rendezvous's fixed handshake+registration as messages grow."""
     from ..charm import Runtime
+    from ..charm.runtime import collector_off
     from ..apps.pingpong import CROSS_NODE, _MsgPinger
 
     results: Dict[str, List[float]] = {"packet": [], "rendezvous": []}
@@ -332,8 +333,9 @@ def run_protocol_ablation(
                 mapping=CROSS_NODE,
             )
             arr.proxy[0].start()
-            rt.run()
-            rt.close()
+            with collector_off():  # until close() has freed the run
+                rt.run()
+                rt.close()
             results[proto].append(rt.result_time * 1e6)
     report = render_series(
         "Ablation A2: forced two-sided protocol vs message size (Abe)",

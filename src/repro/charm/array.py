@@ -14,13 +14,14 @@ binds it to the PE its mapping names, and keys it in
 :attr:`ChareArray.elements` by its canonical index tuple.  Resolving an
 index is one probe of that dict; only a miss (an int, a list, a numpy
 scalar, a bad index, or an element not built yet) normalises and
-bounds-checks.
+bounds-checks.  ``proxy[i]`` probes once and its element proxy carries
+the element itself, so the send does not probe again.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Type
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .errors import CharmError, MappingError
 from .mapping import BlockMap, Mapping, linear_index
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .pe import PE
     from .runtime import Runtime
     from .section import ArraySection
 
@@ -61,32 +61,48 @@ def normalize(index) -> Tuple[int, ...]:
 
 
 class ElementProxy:
-    """Callable handle on one array element."""
+    """Handle on one array element: ``proxy[i].method(*args)`` sends.
 
-    __slots__ = ("_array", "_index")
+    It holds the element itself, or, while the array's constructors
+    still run, the canonical index of one not built yet; a send hands
+    that to :meth:`Runtime.send`, which then need not probe.
 
-    def __init__(self, array: "ChareArray", index: Tuple[int, ...]) -> None:
-        self._array = array
-        self._index = index
+    Entry-method senders live on this class, one per method name, as
+    charmxi generates them per proxy class: the first ``proxy[i].m``
+    with a new name installs ``m``'s sender here, and every later one
+    finds it by ordinary attribute lookup.  Nothing is cached per
+    element.  A name no chare defines still sends; delivery raises
+    :class:`~repro.charm.errors.EntryMethodError`.
+    """
+
+    __slots__ = ("_array", "_to")
 
     @property
     def index(self) -> Tuple[int, ...]:
         """This proxy's element index."""
-        return self._index
+        to = self._to
+        return to if type(to) is tuple else to.thisIndex
 
     def __getattr__(self, method: str):
         if method.startswith("_"):
             raise AttributeError(method)
-        array, index = self._array, self._index
 
-        def _send(*args: Any) -> None:
-            array.rt.send(array, index, method, args)
+        def send(proxy: ElementProxy, *args: Any) -> None:
+            array = proxy._array
+            array.rt.send(array, proxy._to, method, args)
 
-        _send.__name__ = f"send_{method}"
-        return _send
+        send.__name__ = send.__qualname__ = method
+        # Two threads' first uses may both install it; the senders are
+        # equal, so the second write changes nothing.
+        setattr(ElementProxy, method, send)
+        return getattr(self, method)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<ElementProxy array{self._array.id}{self._index}>"
+        return f"<ElementProxy array{self._array.id}{self.index}>"
+
+
+#: builds an element proxy without an ``__init__`` frame per send.
+_new = object.__new__
 
 
 class ArrayProxy:
@@ -98,7 +114,18 @@ class ArrayProxy:
         self._array = array
 
     def __getitem__(self, index) -> ElementProxy:
-        return ElementProxy(self._array, self._array.normalize_index(index))
+        array = self._array
+        try:  # the one probe of a proxy send
+            to = array.elements.get(index)
+        except TypeError:  # unhashable: a list, an array
+            to = None
+        if to is None:
+            idx = array.normalize_index(index)
+            to = array.elements.get(idx, idx)
+        proxy = _new(ElementProxy)
+        proxy._array = array
+        proxy._to = to
+        return proxy
 
     def bcast(self, method: str, *args: Any) -> None:
         """Invoke an entry method on every member."""
@@ -162,21 +189,18 @@ class ChareArray:
         """Number of elements/members."""
         return len(self.elements)
 
-    def probe(self, index) -> Optional[Chare]:
-        """The built element keyed by ``index``, or None.
+    def normalize_index(self, index) -> Tuple[int, ...]:
+        """Canonical tuple form of an element index (bounds-checked).
 
-        Canonical tuples hit; so do tuples whose components hash and
-        compare equal to them (numpy ints, bools, integral floats).
-        Everything else misses, and the caller normalises.
+        The probe of :attr:`elements` hits for canonical tuples and
+        for tuples whose components hash and compare equal to them
+        (numpy ints, bools, integral floats); everything else
+        normalises.
         """
         try:
-            return self.elements.get(index)
+            elem = self.elements.get(index)
         except TypeError:  # unhashable: a list, an array
-            return None
-
-    def normalize_index(self, index) -> Tuple[int, ...]:
-        """Canonical tuple form of an element index (bounds-checked)."""
-        elem = self.probe(index)
+            elem = None
         if elem is not None:
             return elem.thisIndex
         idx = normalize(index)

@@ -68,22 +68,24 @@ class Chare:
 
     def charge(self, seconds: float) -> None:
         """Consume compute time on this chare's PE."""
-        self._require_context()
+        stack = self.rt._pe_stack
+        if not stack or stack[-1] is not self._pe:
+            self._context_error()
         self._pe.charge(seconds)
 
     def charge_pack(self, nbytes: int) -> None:
         """Consume one application-level memcpy of ``nbytes``."""
-        self._require_context()
+        stack = self.rt._pe_stack
+        if not stack or stack[-1] is not self._pe:
+            self._context_error()
         charm = self.rt.machine.charm
         if nbytes:
             self._pe.charge(charm.copy_base + nbytes * charm.copy_per_byte)
 
-    def _require_context(self) -> None:
-        cur = self.rt.current_pe
-        if cur is None or cur is not self._pe:
-            raise ContextError(
-                f"{type(self).__name__}{self.thisIndex} used outside its PE context"
-            )
+    def _context_error(self) -> None:
+        raise ContextError(
+            f"{type(self).__name__}{self.thisIndex} used outside its PE context"
+        )
 
     # ------------------------------------------------------------------
     # Collectives
@@ -104,7 +106,9 @@ class Chare:
         member must pass the same reducer and an equivalent callback
         within one epoch.
         """
-        self._require_context()
+        stack = self.rt._pe_stack
+        if not stack or stack[-1] is not self._pe:
+            self._context_error()
         target = self._array if section is None else section
         if section is not None:
             if section.base_array is not self._array:

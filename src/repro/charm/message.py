@@ -42,7 +42,7 @@ class Payload:
     delivery so handlers see exactly the type the sender passed.
     """
 
-    __slots__ = ("data", "_nbytes", "pack", "auto")
+    __slots__ = ("data", "nbytes", "pack", "auto")
 
     def __init__(
         self,
@@ -58,14 +58,10 @@ class Payload:
                 f"Payload nbytes={nbytes} disagrees with data.nbytes={data.nbytes}"
             )
         self.data = data
-        self._nbytes = int(data.nbytes if data is not None else nbytes)  # type: ignore[union-attr]
+        #: size in bytes (a plain attribute: every bulk send reads it)
+        self.nbytes = int(data.nbytes if data is not None else nbytes)  # type: ignore[union-attr]
         self.pack = bool(pack)
         self.auto = bool(auto)
-
-    @property
-    def nbytes(self) -> int:
-        """Size in bytes."""
-        return self._nbytes
 
     @property
     def is_virtual(self) -> bool:
@@ -84,32 +80,11 @@ class Payload:
         if not self.pack:
             return self
         data = None if self.data is None else np.array(self.data, copy=True)
-        return Payload(data, self._nbytes, pack=False, auto=self.auto)
+        return Payload(data, self.nbytes, pack=False, auto=self.auto)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "virtual" if self.is_virtual else "real"
-        return f"<Payload {kind} {self._nbytes}B pack={self.pack}>"
-
-
-def wrap_args(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Auto-wrap bare ndarrays as packed payloads (the safe default)."""
-    return tuple(
-        Payload(data=a, pack=True, auto=True) if isinstance(a, np.ndarray) else a
-        for a in args
-    )
-
-
-def unwrap_args(args: Tuple[Any, ...]) -> Tuple[Any, ...]:
-    """Undo auto-wrapping at delivery: handlers receive ndarrays where
-    ndarrays were sent, and explicit Payloads stay Payloads."""
-    return tuple(
-        a.data if isinstance(a, Payload) and a.auto else a for a in args
-    )
-
-
-def payload_bytes(args: Tuple[Any, ...]) -> int:
-    """Total payload bytes across an argument tuple."""
-    return sum(a.nbytes for a in args if isinstance(a, Payload))
+        return f"<Payload {kind} {self.nbytes}B pack={self.pack}>"
 
 
 class Message:

@@ -28,7 +28,7 @@ cursor (``busy_until``).
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from typing import TYPE_CHECKING, Deque, Dict
 
 from ..projections.events import (
     CAT_CKDIRECT,
@@ -91,19 +91,27 @@ class PE(Entity):
     # ------------------------------------------------------------------
 
     def enqueue(self, msg: Message) -> None:
-        """Deliver a message into this PE's queue (internal or app)."""
-        if msg.is_internal:
-            self.internal_queue.push(msg)
-        else:
-            self.queue.push(msg)
+        """Deliver a message into this PE's queue (internal or app) and
+        wake the scheduler: the queue statistics and :meth:`kick` are
+        inlined, as this runs once per message."""
+        queue = self.internal_queue if msg.is_internal else self.queue
+        queue.append(msg)
+        queue.enqueued += 1
+        if len(queue) > queue.max_occupancy:
+            queue.max_occupancy = len(queue)
+        sim = self.sim
         tr = self.rt.tracer
         if tr is not None:
             msg.trace_eid = tr.instant(
                 self.rt._trace_run, self.rank, CAT_MSG,
-                f"enqueue:{msg.method}", self.now, cause=msg.trace_eid,
+                f"enqueue:{msg.method}", sim.now, cause=msg.trace_eid,
                 args={"msg": msg.id, "bytes": msg.nbytes},
             )
-        self.kick()
+        if not (self._loop_scheduled or self._executing):
+            self._loop_scheduled = True
+            now = sim.now
+            busy = self.busy_until
+            sim.at(busy if busy > now else now, self._iterate)
 
     def push_direct(self, item: DirectItem) -> None:
         """Deliver a scheduler-bypassing completion item."""
@@ -161,10 +169,17 @@ class PE(Entity):
                 self._poll_sweep()
             # High-priority RTS messages: all pending ones run before
             # the next application message (each pays dispatch cost).
+            # A dequeue adds the depth it saw to the occupancy sum.
             while internal:
-                self._execute_message(internal.pop(), len(internal))
+                n = len(internal)
+                internal.occupancy_sum += n
+                internal.dequeues += 1
+                self._execute_message(internal.popleft(), n - 1)
             if queue:
-                self._execute_message(queue.pop(), len(queue))
+                n = len(queue)
+                queue.occupancy_sum += n
+                queue.dequeues += 1
+                self._execute_message(queue.popleft(), n - 1)
         finally:
             self._executing = False
             self.busy_until = self._cursor
@@ -178,19 +193,20 @@ class PE(Entity):
     def _drain_direct(self) -> None:
         tr = self.rt.tracer
         counters = self.rt.trace.counters
+        stack = self.rt._pe_stack
         while self.direct_q:
             item = self.direct_q.popleft()
             t0 = self._cursor
-            self.charge(item.cost)
+            self._cursor += item.cost
             eid = None
             if tr is not None:
                 eid = tr.next_id()
                 tr.push(eid)
-            self.rt._enter_pe(self)
+            stack.append(self)
             try:
                 item.fn()
             finally:
-                self.rt._exit_pe()
+                stack.pop()
                 if tr is not None:
                     tr.pop()
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
@@ -203,26 +219,27 @@ class PE(Entity):
         tr = self.rt.tracer
         counters = self.rt.trace.counters
         t0 = self._cursor
-        self.charge(ck.poll_base + ck.poll_per_handle * len(self.pollq))
+        self._cursor += ck.poll_base + ck.poll_per_handle * len(self.pollq)
         if tr is not None:
             tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT, "poll_sweep",
                     t0, self._cursor, args={"occupancy": len(self.pollq)})
         counters["pe.poll_sweeps"] += 1
         self.rt.trace.sample("pe.pollq_occupancy", len(self.pollq))
         arrived = [h for h in self.pollq.values() if h.arrived]
+        stack = self.rt._pe_stack
         for handle in arrived:
             del self.pollq[handle.hid]
             t0 = self._cursor
-            self.charge(ck.detect_overhead + ck.callback_overhead)
+            self._cursor += ck.detect_overhead + ck.callback_overhead
             eid = None
             if tr is not None:
                 eid = tr.next_id()
                 tr.push(eid)
-            self.rt._enter_pe(self)
+            stack.append(self)
             try:
                 handle.fire()
             finally:
-                self.rt._exit_pe()
+                stack.pop()
                 if tr is not None:
                     tr.pop()
                     tr.span(self.rt._trace_run, self.rank, CAT_CKDIRECT,
@@ -247,12 +264,12 @@ class PE(Entity):
             cost += exposed * charm.rts_copy_per_byte
         tr = rt.tracer
         if tr is None:
-            self.charge(cost)
+            self._cursor += cost
             rt.trace.counters["pe.messages_executed"] += 1
             rt._deliver(self, msg)
             return
         t0 = self._cursor
-        self.charge(cost)
+        self._cursor += cost
         rt.trace.counters["pe.messages_executed"] += 1
         dispatch_eid = tr.span(
             rt._trace_run, self.rank, CAT_SCHED,

@@ -33,13 +33,12 @@ from ..config import ConfigError, current
 from ..network import Fabric, MachineParams, make_fabric
 from ..projections.events import CAT_MSG, HOST_TRACK
 from ..projections.eventlog import current_tracer
-from ..sim import Simulator, Trace, make_simulator
+from ..sim import Trace, make_simulator
 from .array import ChareArray
-from .callback import CkCallback
 from .chare import Chare
-from .errors import CharmError, ContextError, EntryMethodError
+from .errors import CharmError, EntryMethodError
 from .mapping import CustomMap, Mapping
-from .message import Message, Payload, payload_bytes, unwrap_args, wrap_args
+from .message import Message, Payload
 from .pe import PE
 from .reduction import CONTROL_BYTES, ReductionManager
 
@@ -56,7 +55,11 @@ _gc_was_enabled = False
 
 
 @contextmanager
-def _collector_off():
+def collector_off():
+    """Hold the cyclic collector off (counted across threads and
+    nesting).  ``Runtime.run`` holds it for the run; a driver holds it
+    from ``run()`` through ``close()``, so no collection walks a
+    finished run that reference counting is about to free."""
     global _gc_runs, _gc_was_enabled
     with _gc_lock:
         if _gc_runs == 0:
@@ -82,7 +85,7 @@ class _PEAgent(Chare):
         rt = self.rt
         collective = rt.collective(collective_id)
         me = self.my_pe
-        nbytes = CONTROL_BYTES + payload_bytes(args)
+        nbytes = CONTROL_BYTES + rt._wire(None, args, False)[1]
         for child in collective.tree_children(me):
             rt.send(
                 rt.agents,
@@ -145,6 +148,10 @@ class Runtime:
         #: Results are bit-identical either way — it only moves bytes.
         self.transport = cfg.transport
         self.machine = machine
+        #: Blue Gene/P: a CkDirect put completes through the DCMF
+        #: receive callback, never by polling (read per put, so bound
+        #: once here).
+        self.is_bgp = machine.kind == "bgp"
         # Every queue implementation pops the same (time, priority,
         # seq) order, so results are bit-identical whichever backs it.
         self.sim = make_simulator(cfg.eventq)
@@ -281,12 +288,6 @@ class Runtime:
         """The PE whose context is executing, or None in host code."""
         return self._pe_stack[-1] if self._pe_stack else None
 
-    def _enter_pe(self, pe: PE) -> None:
-        self._pe_stack.append(pe)
-
-    def _exit_pe(self) -> None:
-        self._pe_stack.pop()
-
     def host_call(self, fn, *args: Any) -> None:
         """Run ``fn`` outside any PE at the current simulated instant.
 
@@ -332,13 +333,23 @@ class Runtime:
     ) -> None:
         """Send an entry-method invocation to one array element.
 
+        ``index`` is an element index, or the element itself, which is
+        what an element proxy's send passes (``proxy[i]`` already
+        probed for it).
+
         From a PE context this charges the sender's software overhead
         (and marshalling copies for packed payloads) and the transfer
         begins at the sender's local cursor.  From host code it is an
         injection at the current simulated time, free of charge — the
         bootstrap path.
         """
-        elem = array.probe(index)
+        if isinstance(index, Chare) and index._array is array:
+            elem = index
+        else:
+            try:  # one probe of the placement table
+                elem = array.elements.get(index)
+            except TypeError:  # unhashable: a list, an array
+                elem = None
         if elem is not None:
             idx = elem.thisIndex
             dst_rank = elem._pe.rank
@@ -347,27 +358,26 @@ class Runtime:
             dst_rank = array.pe_of(idx)
         if type(args) is not tuple:
             args = tuple(args)
+        stack = self._pe_stack
+        src = stack[-1] if stack else None
         # One scan decides: only a message carrying a Payload or an
         # ndarray is wrapped, sized, marshalled and later unwrapped.
+        # A host injection keeps its payloads as passed.
         bulk = False
+        nbytes = 0
         for a in args:
             if isinstance(a, _BULK):
                 bulk = True
+                args, nbytes = self._wire(src, args, src is not None)
                 break
-        if bulk:
-            args = wrap_args(args)
-            nbytes = (nbytes_override if nbytes_override is not None
-                      else payload_bytes(args))
-        else:
-            nbytes = nbytes_override if nbytes_override is not None else 0
-        stack = self._pe_stack
-        src = stack[-1] if stack else None
+        if nbytes_override is not None:
+            nbytes = nbytes_override
 
         if src is not None:
-            if bulk:
-                args = self._marshal(src, args)
-            src.charge(self.machine.charm.send_overhead)
-            start = src._cursor  # charge() succeeded: src is executing
+            # A PE on the context stack is executing: charge its cursor
+            # in place.
+            src._cursor += self.machine.charm.send_overhead
+            start = src._cursor
             src_rank: Optional[int] = src.rank
         else:
             start = self.sim.now
@@ -413,23 +423,37 @@ class Runtime:
                 src_rank, dst_rank, nbytes, start, partial(dst_pe.enqueue, msg)
             )
 
-    def _marshal(self, pe: Optional[PE], args: tuple) -> tuple:
-        """The wire form of ``args``: ``pe`` (None = host, free) is
-        charged one copy per packed payload, and every payload travels
-        unpacked, so no later hop charges the copy again."""
-        if pe is not None:
-            charm = self.machine.charm
-            for a in args:
-                if isinstance(a, Payload) and a.pack and a.nbytes:
-                    pe.charge(charm.copy_base + a.nbytes * charm.copy_per_byte)
-                    self.trace.count("charm.pack_copies")
-        return tuple(a.marshalled() if isinstance(a, Payload) else a for a in args)
+    def _wire(self, pe: Optional[PE], args: tuple,
+              marshal: bool) -> Tuple[tuple, int]:
+        """The wire form of ``args`` and its payload bytes, in one pass.
+
+        A bare ndarray travels as a packed, auto-wrapped
+        :class:`Payload`, which delivery unwraps.  With ``marshal``,
+        every payload travels unpacked, so no later hop charges its
+        copy again, and ``pe`` (None: the host, free) is charged one
+        copy per packed non-empty payload, in argument order.
+        """
+        wire = []
+        nbytes = 0
+        for a in args:
+            if isinstance(a, _BULK):
+                if not isinstance(a, Payload):
+                    a = Payload(a, pack=True, auto=True)
+                nbytes += a.nbytes
+                if marshal and a.pack:
+                    if pe is not None and a.nbytes:
+                        charm = self.machine.charm
+                        pe._cursor += charm.copy_base + a.nbytes * charm.copy_per_byte
+                        self.trace.counters["charm.pack_copies"] += 1
+                    a = a.marshalled()
+            wire.append(a)
+        return tuple(wire), nbytes
 
     def bcast(self, array, method: str, args: tuple = ()) -> None:
         """Invoke ``method`` on every member of an array *or section*
         via its home-PE tree."""
         # Marshal once; down-tree stages must not re-charge packing.
-        args = self._marshal(self.current_pe, wrap_args(args))
+        args, nbytes = self._wire(self.current_pe, args, True)
         root = array.home_pes[0]
         self.send(
             self.agents,
@@ -437,7 +461,7 @@ class Runtime:
             "_bcast_stage",
             (array.id, method, args),
             internal=True,
-            nbytes_override=CONTROL_BYTES + payload_bytes(args),
+            nbytes_override=CONTROL_BYTES + nbytes,
         )
 
     def _flush_host_sends(self, owned_ranks=None) -> None:
@@ -466,13 +490,14 @@ class Runtime:
             raise EntryMethodError(
                 f"{type(elem).__name__} has no entry method {msg.method!r}"
             )
+        args = msg.args
+        if msg.bulk:  # auto-wrapped ndarrays arrive as ndarrays
+            args = [a.data if isinstance(a, Payload) and a.auto else a
+                    for a in args]
         stack = self._pe_stack
         stack.append(pe)
         try:
-            if msg.bulk:
-                entry(*unwrap_args(msg.args))
-            else:
-                entry(*msg.args)
+            entry(*args)
         finally:
             stack.pop()
 
@@ -518,7 +543,7 @@ class Runtime:
         off.  The caller's setting is back when ``run`` returns or
         raises.
         """
-        with _collector_off():
+        with collector_off():
             if self.fabric._engine:
                 from ..sim.parallel import run_sharded
                 return run_sharded(self)
@@ -536,7 +561,8 @@ class Runtime:
         ``trace``, ``sim`` (``now``, ``events_processed``),
         ``transport_stats``, ``supervision``, ``parallel_rounds`` and
         ``shard_cpu_times``.  A closed runtime cannot run again.  The
-        drivers call this once they have read their results.
+        drivers call this as the run returns, inside
+        :func:`collector_off`, and read their results from what stays.
         """
         for arr in self.arrays.values():
             for elem in arr.elements.values():

@@ -22,8 +22,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable
 
-from .message import Message
-
 if TYPE_CHECKING:  # pragma: no cover
     from ..faults.plan import ReliabilityParams
     from .runtime import Runtime
@@ -33,8 +31,10 @@ class SchedulerQueue(deque):
     """FIFO of pending messages with occupancy statistics.
 
     The queue is a ``deque`` itself, so the scheduler's length and
-    truth tests are native.  ``push``/``pop`` are the FIFO pair that
-    keeps the statistics; ``pop`` takes the *oldest* message.
+    truth tests are native.  The PE keeps the statistics where it
+    touches the queue: :meth:`PE.enqueue <repro.charm.pe.PE.enqueue>`
+    appends and counts, and the scheduler pass takes the *oldest*
+    message and adds the depth it saw to ``occupancy_sum``.
     """
 
     __slots__ = ("enqueued", "max_occupancy", "occupancy_sum", "dequeues")
@@ -45,19 +45,6 @@ class SchedulerQueue(deque):
         self.dequeues = 0
         self.max_occupancy = 0
         self.occupancy_sum = 0  # summed at dequeue: mean = sum/dequeues
-
-    def push(self, msg: Message) -> None:
-        """Append a message (FIFO) and update occupancy stats."""
-        self.append(msg)
-        self.enqueued += 1
-        if len(self) > self.max_occupancy:
-            self.max_occupancy = len(self)
-
-    def pop(self) -> Message:
-        """Remove and return the oldest message."""
-        self.occupancy_sum += len(self)
-        self.dequeues += 1
-        return self.popleft()
 
 
 class DirectItem:

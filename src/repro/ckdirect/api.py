@@ -54,17 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..charm.runtime import Runtime
 
 
-def _is_bgp(rt: "Runtime") -> bool:
-    return rt.machine.kind == "bgp"
-
-
 def _charge_if_ctx(rt: "Runtime", seconds: float) -> None:
     """Charge the current PE when called from an entry method; setup
     performed at bootstrap (host) time is off the clock, matching the
     paper's exclusion of one-time channel setup from steady state."""
-    pe = rt.current_pe
-    if pe is not None and seconds:
-        pe.charge(seconds)
+    stack = rt._pe_stack
+    if stack and seconds:
+        stack[-1]._cursor += seconds  # a PE in context is executing
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +74,7 @@ def register_handle(chare: "Chare", handle: CkDirectHandle) -> CkDirectHandle:
     rt = chare.rt
     handle.stamp_sentinel()
     _charge_if_ctx(rt, rt.machine.ckdirect.handle_setup)
-    if not _is_bgp(rt):
+    if not rt.is_bgp:
         # Registers the receive memory and starts polling immediately.
         chare._pe.poll_register(handle)
     # Receiver-side registry: cross-shard puts resolve the real handle
@@ -163,7 +159,8 @@ def put(handle: CkDirectHandle) -> None:
     put lands.
     """
     rt = handle.rt
-    pe = rt.current_pe
+    stack = rt._pe_stack
+    pe = stack[-1] if stack else None
     if handle.src_pe is None or handle.src_buffer is None:
         raise CkDirectError(f"{handle.name}: put before assoc_local")
     if pe is None:
@@ -180,7 +177,7 @@ def put(handle: CkDirectHandle) -> None:
         # and ship a snapshot of the source buffer with the put.
         done = partial(_complete, handle, handle.src_buffer.snapshot())
     else:
-        legal = _PUTTABLE_BGP if _is_bgp(rt) else _PUTTABLE_IB
+        legal = _PUTTABLE_BGP if rt.is_bgp else _PUTTABLE_IB
         if handle.state not in legal:
             raise ChannelStateError(
                 f"{handle.name}: put while channel is {handle.state.value} — "
@@ -192,7 +189,8 @@ def put(handle: CkDirectHandle) -> None:
         handle.state = ChannelState.IN_FLIGHT
         done = partial(_complete, handle)
     nbytes = handle.recv_buffer.nbytes
-    pe.charge(rt.machine.ckdirect.put_issue)
+    pe._cursor += rt.machine.ckdirect.put_issue  # pe is executing
+    start = pe._cursor
     tr = rt.tracer
     if tr is not None:
         # An instant, not a span: the issue cost is part of the
@@ -200,7 +198,7 @@ def put(handle: CkDirectHandle) -> None:
         # flat sequence of non-overlapping spans.
         handle.trace_put_eid = tr.instant(
             rt._trace_run, pe.rank, CAT_CKDIRECT, f"put:{handle.name}",
-            pe.cursor, cause=tr.current,
+            start, cause=tr.current,
             args={"bytes": nbytes, "dst_pe": handle.recv_pe.rank},
         )
     counters = rt.trace.counters
@@ -210,14 +208,14 @@ def put(handle: CkDirectHandle) -> None:
     if src_rank == dst_rank:
         # Same-PE channel: a local memcpy at shared-memory speed.
         delay = rt.machine.net.shm_alpha + nbytes * rt.machine.net.shm_beta
-        rt.sim.at(pe.cursor + delay, done)
+        rt.sim.at(start + delay, done)
     elif rt.reliability is not None:
-        _reliable_put(handle, pe.cursor)
+        _reliable_put(handle, start)
     else:
         # The callback is the arrival's only description: the sharded
         # engine ships a proxy's put (handle id + snapshot) to the
         # owning shard and refuses a real handle's put that would cross.
-        rt.fabric.direct_put(src_rank, dst_rank, nbytes, pe.cursor, done)
+        rt.fabric.direct_put(src_rank, dst_rank, nbytes, start, done)
 
 
 def _complete(handle: CkDirectHandle, snap=None) -> None:
@@ -299,7 +297,7 @@ def _send_attempt(handle: CkDirectHandle, seq: int, start: float) -> None:
     # know the trailing word is special), so it is drawn here and the
     # delivery routed through the torn-landing path.  BG/P completion
     # is callback-based, not sentinel-inferred, so it cannot tear.
-    torn = inj is not None and not _is_bgp(rt) and inj.draw_torn()
+    torn = inj is not None and not rt.is_bgp and inj.draw_torn()
     if handle.attempt > 1:
         rt.trace.count("ckdirect.retransmits")
         tr = rt.tracer
@@ -389,7 +387,7 @@ def _reliable_deliver(handle: CkDirectHandle, seq: int, torn: bool) -> None:
 def _notify_arrival(handle: CkDirectHandle) -> None:
     """Wake the receiver after a put landed."""
     rt = handle.rt
-    if _is_bgp(rt):
+    if rt.is_bgp:
         # DCMF receive-completion callback: handler + user callback run
         # directly, around the scheduler queue.
         cost = rt.fabric.recv_handler_cost(
@@ -465,7 +463,7 @@ def ready_mark(handle: CkDirectHandle) -> None:
     """Re-stamp the out-of-band pattern: the receiver is done with the
     buffer.  Mirrors ``CkDirect_readyMark`` (no effect on BG/P)."""
     rt = handle.rt
-    if _is_bgp(rt):
+    if rt.is_bgp:
         if handle.state is ChannelState.CONSUMED:
             handle.stamp_sentinel()
             handle.state = ChannelState.ARMED
@@ -488,7 +486,7 @@ def ready_poll_q(handle: CkDirectHandle) -> None:
     by deferring this call — §2.1).
     """
     rt = handle.rt
-    if _is_bgp(rt):
+    if rt.is_bgp:
         return
     if handle.state is ChannelState.CONSUMED:
         raise ChannelStateError(

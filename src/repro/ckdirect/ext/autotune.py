@@ -25,9 +25,10 @@ non-invasively, so applications run unmodified while being profiled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ...charm.chare import Chare
 from ...charm.runtime import Runtime
 from ...network.infiniband import InfinibandFabric
 
@@ -130,7 +131,10 @@ class ChannelAdvisor:
         # PE — distinct senders on one PE to one target merge, which is
         # conservative (they would share a channel's amortization).
         src = (self.rt.current_pe.rank,)
-        key = (array.id, src, array.normalize_index(index), method)
+        # An element proxy's send passes the element itself.
+        idx = index.thisIndex if isinstance(index, Chare) else \
+            array.normalize_index(index)
+        key = (array.id, src, idx, method)
         self.flows.setdefault(key, FlowStats()).observe(int(nbytes))
 
     # ------------------------------------------------------------------

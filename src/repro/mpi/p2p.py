@@ -11,7 +11,7 @@ exhaustively on its own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Deque, Optional
 
 ANY_SOURCE = -1

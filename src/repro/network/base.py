@@ -86,6 +86,9 @@ class Fabric(Entity):
         #: when Projections tracing is on (None = off, zero cost).
         self.tracer = None
         self.trace_run = 0
+        #: PE rank -> node, built once: ``transfer`` reads it for both
+        #: endpoints of every message.
+        self._node_of = {pe: topology.node_of(pe) for pe in range(topology.n_pes)}
         n = topology.n_nodes
         self._tx_free = [0.0] * n
         self._rx_free = [0.0] * n
@@ -161,8 +164,13 @@ class Fabric(Entity):
                 f"transfer start {start!r} precedes simulated now {self.sim.now!r}"
             )
         topo = self.topology
-        src_node = topo.node_of(src)
-        dst_node = topo.node_of(dst)
+        try:
+            src_node = self._node_of[src]
+            dst_node = self._node_of[dst]
+        except KeyError:  # out of range: the topology raises TopologyError
+            topo.node_of(src)
+            topo.node_of(dst)
+            raise
         counters = self.trace.counters
         if src_node == dst_node:
             delivery = start + pre + self.p.shm_alpha + wire_bytes * self.p.shm_beta
@@ -246,12 +254,12 @@ class Fabric(Entity):
         recs = self._records
         now = self.sim.now
         rx_free = self._rx_free
-        node_of = self.topology.node_of
+        node_of = self._node_of
         at = self.sim.at
         tracer = self.tracer
         while recs and recs[0][0] <= now:
             ha, dst, src, _k, stream, occ, wire_bytes, cb = heappop(recs)
-            dn = node_of(dst)
+            dn = node_of[dst]
             rx_start = rx_free[dn] if rx_free[dn] > ha else ha
             delivery = rx_start + stream
             rx_free[dn] = rx_start + occ

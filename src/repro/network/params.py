@@ -63,8 +63,8 @@ Blue Gene/P (ANL Surveyor, Table 2):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Sequence, Tuple
 
 from ..util.units import us
 from .topology import FatTree, Topology, Torus3D

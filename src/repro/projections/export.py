@@ -22,10 +22,10 @@ terminal table with bar-chart sparks.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .analysis import utilization_profile
-from .events import HOST_TRACK, NET_TRACK, TraceEvent
+from .events import HOST_TRACK, TraceEvent
 from .eventlog import EventLog
 
 #: Fixed pseudo-track thread ids (PE k maps to tid k + 2).

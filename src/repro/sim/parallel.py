@@ -111,8 +111,8 @@ class _CRef:
 def _encode_args(args: tuple) -> tuple:
     """Encode one message's argument tuple for the wire.
 
-    Only top-level arguments are translated (matching the runtime's
-    ``wrap_args`` convention); handles/callbacks nested inside user
+    Only top-level arguments are translated (the runtime wraps only
+    top-level ndarrays too); handles/callbacks nested inside user
     containers are not supported across shards.
     """
     from ..charm.callback import CkCallback

@@ -225,7 +225,6 @@ def _create_segment(name: str, size: int):
 # ---------------------------------------------------------------------------
 
 _HDR = 16                    # u64 head (reserved) | u64 tail
-_HEAD_OFF = 0
 _TAIL_OFF = 8
 _FRAME_HDR = 8               # u32 len | u32 seq
 _SENTINEL = 0xC5

@@ -34,7 +34,7 @@ class BufferError_(ValueError):
 class Buffer:
     """A byte region participating in simulated communication."""
 
-    __slots__ = ("array", "_nbytes", "name")
+    __slots__ = ("array", "nbytes", "name")
 
     def __init__(
         self,
@@ -48,12 +48,13 @@ class Buffer:
             if not isinstance(array, np.ndarray):
                 raise BufferError_(f"array must be numpy.ndarray, got {type(array)}")
             self.array = array
-            self._nbytes = int(array.nbytes)
+            #: size in bytes (a plain attribute: puts read it per message)
+            self.nbytes = int(array.nbytes)
         else:
             if nbytes is None or nbytes <= 0:
                 raise BufferError_(f"nbytes must be positive, got {nbytes!r}")
             self.array = None
-            self._nbytes = int(nbytes)
+            self.nbytes = int(nbytes)
         self.name = name
 
     # ------------------------------------------------------------------
@@ -67,11 +68,6 @@ class Buffer:
     def virtual(cls, nbytes: int, name: str = "") -> "Buffer":
         """Create a size-only buffer (timing runs)."""
         return cls(nbytes=nbytes, name=name)
-
-    @property
-    def nbytes(self) -> int:
-        """Size in bytes."""
-        return self._nbytes
 
     @property
     def is_virtual(self) -> bool:
@@ -146,4 +142,4 @@ class Buffer:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "virtual" if self.is_virtual else f"real{getattr(self.array, 'shape', '')}"
-        return f"<Buffer {self.name!r} {kind} {self._nbytes}B>"
+        return f"<Buffer {self.name!r} {kind} {self.nbytes}B>"

@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.charm import CharmError, Payload
-from repro.charm.message import (
-    Message,
-    payload_bytes,
-    unwrap_args,
-    wrap_args,
-)
+from repro import ABE, Chare, Runtime
+from repro.charm import CharmError, CustomMap, Payload
+from repro.charm.message import Message
 
 
 def test_payload_needs_backing():
@@ -46,23 +42,45 @@ def test_marshalled_noop_for_unpacked():
     assert p.marshalled() is p
 
 
+class Got(Chare):
+    def __init__(self):
+        self.got = None
+
+    def take(self, *args):
+        self.got = args
+
+    def relay(self, *args):
+        self.proxy[1].take(*args)
+
+
+def _relay(*args):
+    """Send ``args`` from PE 0 to an element on another PE; returns
+    the runtime and what the receiver got."""
+    rt = Runtime(ABE, n_pes=2)
+    arr = rt.create_array(Got, dims=(2,),
+                          mapping=CustomMap(lambda idx, dims, n: idx[0]))
+    arr.proxy[0].relay(*args)
+    rt.run()
+    return rt, arr.elements[(1,)].got
+
+
 def test_wrap_unwrap_roundtrip():
     arr = np.arange(3.0)
     explicit = Payload(data=np.ones(2), pack=False)
-    args = wrap_args((arr, explicit, 5, "x"))
-    assert isinstance(args[0], Payload) and args[0].auto
-    assert args[1] is explicit
-    out = unwrap_args(tuple(a.marshalled() if isinstance(a, Payload) else a
-                            for a in args))
-    assert isinstance(out[0], np.ndarray)
+    _, out = _relay(arr, explicit, 5, "x")
+    assert isinstance(out[0], np.ndarray)  # auto-wrapped, then unwrapped
     assert np.array_equal(out[0], arr)
+    assert out[0] is not arr  # marshalled: a snapshot travelled
     assert out[1] is explicit
     assert out[2:] == (5, "x")
 
 
 def test_payload_bytes_sums_payloads_only():
-    args = (Payload.virtual(100), Payload.virtual(28), 7, "meta")
-    assert payload_bytes(args) == 128
+    rt, got = _relay(Payload.virtual(100), Payload.virtual(28), 7, "meta")
+    # The host injection and the relay each carry 128 payload bytes.
+    assert rt.trace.counters["charm.msg_bytes"] == 2 * 128
+    assert rt.trace.counters["charm.msgs_sent"] == 2
+    assert [a.nbytes for a in got[:2]] == [100, 28]
 
 
 def test_message_ids_unique():

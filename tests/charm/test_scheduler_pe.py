@@ -4,33 +4,43 @@ import pytest
 
 from repro import ABE, SURVEYOR, Chare, Runtime
 from repro.charm import Payload
-from repro.charm.scheduler import SchedulerQueue
 from repro.charm.message import Message
 
 
-def _msg(i=0):
-    return Message(1, (0,), "m", (), 0, None, 0.0)
+class Log(Chare):
+    def __init__(self):
+        self.seen = []
+
+    def hit(self, tag):
+        self.seen.append(tag)
+
+
+def _enqueue_hits(n):
+    """``n`` messages queued on an idle PE before it runs."""
+    rt = Runtime(ABE, n_pes=1)
+    arr = rt.create_array(Log, dims=(1,))
+    pe = rt.pes[0]
+    for i in range(n):
+        pe.enqueue(Message(arr.id, (0,), "hit", (i,), 0, None, 0.0))
+    return rt, arr.elements[(0,)], pe
 
 
 def test_scheduler_queue_fifo():
-    q = SchedulerQueue()
-    msgs = [_msg(i) for i in range(3)]
-    for m in msgs:
-        q.push(m)
-    assert [q.pop() for _ in range(3)] == msgs
+    rt, elem, pe = _enqueue_hits(3)
+    rt.run()
+    assert elem.seen == [0, 1, 2]
 
 
 def test_scheduler_queue_stats():
-    q = SchedulerQueue()
-    for i in range(4):
-        q.push(_msg(i))
+    rt, elem, pe = _enqueue_hits(4)
+    q = pe.queue
     assert q.max_occupancy == 4
-    q.pop()
-    q.pop()
-    assert q.dequeues == 2
-    # occupancy recorded at pop time (before removing): 4 then 3
-    assert q.occupancy_sum == 7
-    assert q.occupancy_sum / q.dequeues == pytest.approx(3.5)
+    assert q.enqueued == 4
+    rt.run()
+    assert q.dequeues == 4
+    # occupancy recorded at dequeue (before removing): 4, 3, 2, 1
+    assert q.occupancy_sum == 10
+    assert q.occupancy_sum / q.dequeues == pytest.approx(2.5)
 
 
 class Worker(Chare):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.network import ABE, SURVEYOR, make_fabric
 from repro.network.base import FabricError
+from repro.network.topology import TopologyError
 from repro.sim import Simulator
 from repro.util.units import us
 
@@ -98,6 +99,16 @@ def test_negative_bytes_rejected():
     sim, fab = _fabric()
     with pytest.raises(FabricError):
         fab.transfer(0, 8, -1, 0.0, 0.0, 0.0, 0.0, lambda: None)
+
+
+@pytest.mark.parametrize("machine", [ABE, SURVEYOR], ids=lambda m: m.name)
+@pytest.mark.parametrize("src,dst", [(0, 10**6), (10**6, 0), (0, -1), (-1, 0)])
+def test_out_of_range_pe_rejected(machine, src, dst):
+    """The fabric's PE → node table misses; the topology names the PE."""
+    sim, fab = _fabric(machine)
+    with pytest.raises(TopologyError, match="out of range"):
+        fab.transfer(src, dst, 10, 0.0, 0.0, us(1), 0.0, lambda: None)
+    assert sim.events_processed == 0 and not fab.trace.counters
 
 
 def test_bgp_hop_latency_counts():
